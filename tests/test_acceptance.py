@@ -3,8 +3,10 @@
 Each criterion runs at its stated tolerance and prints one pass/fail line
 (run with ``pytest tests/test_acceptance.py -s`` to see them all).  The
 determinism criterion re-executes the earlier experiments and compares their
-CSV renderings byte for byte.
+CSV renderings byte for byte, with each other and with the committed goldens.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from airmodem.psk import dpsk_demodulate
 from airmodem.signals import Spectrum
 
 from oracles import naive_power_spectrum
+
+GOLDEN = Path(__file__).parent / "golden"
 
 _first_run: dict[str, str] = {}
 
@@ -261,6 +265,12 @@ def test_criterion_9_spectrum_oracle_equivalence():
 
 
 def test_criterion_10_determinism():
+    """Criteria 1-5 rerun byte-identically and match ``tests/golden/c1.csv``..``c5.csv``.
+
+    The goldens lock every decision behind the CSVs across refactors.  After an
+    intended output change, regenerate them from the repository root with:
+    PYTHONPATH=src:tests python -c "import test_acceptance as t; [open(f'tests/golden/c{i}.csv', 'w').write(getattr(t, f'_criterion{i}_csv')()[-1]) for i in range(1, 6)]"
+    """
     generators = {
         "c1": _criterion1_csv,
         "c2": _criterion2_csv,
@@ -268,18 +278,19 @@ def test_criterion_10_determinism():
         "c4": _criterion4_csv,
         "c5": _criterion5_csv,
     }
-    matches = {}
+    matches, golden = {}, {}
     for key, generate in generators.items():
         rerun = generate()[-1]
         baseline = _first_run.get(key)
         if baseline is None:  # criterion ran standalone: execute twice
             baseline = generate()[-1]
         matches[key] = rerun == baseline
-    ok = all(matches.values())
+        golden[key] = rerun.encode() == (GOLDEN / f"{key}.csv").read_bytes()
+    ok = all(matches.values()) and all(golden.values())
     _report(
         10,
         "byte-identical reruns of criteria 1-5",
         ok,
-        f"identical CSVs: {matches}",
+        f"identical CSVs: {matches}; equal to goldens: {golden}",
     )
     assert ok

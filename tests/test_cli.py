@@ -1,11 +1,31 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from airmodem import AudioSignal, read_wav, write_wav
+from airmodem import (
+    DEFAULT_HEADER_BITS,
+    AudioSignal,
+    ChannelSpec,
+    FskConfig,
+    NoiseSpec,
+    PskConfig,
+    apply_channel,
+    bpsk_modulate,
+    dpsk_modulate,
+    fsk_modulate,
+    generate_tone,
+    read_wav,
+    synth_noise,
+    write_wav,
+)
 from airmodem.cli import main, parse_payload
 from airmodem.errors import ConfigurationError
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = ("spectrum", "decode_fsk", "decode_dpsk", "decode_bpsk")
 
 
 def run_cli(capsys, *argv):
@@ -270,3 +290,55 @@ class TestSpectrum:
         code, stdout, _ = run_cli(capsys, "spectrum", str(path), "--fft-size", "1024")
         assert code == 0
         assert len(stdout.splitlines()) == 1 + 513
+
+
+def golden_argv(case, path):
+    """Write the seeded capture of one golden case to ``path``; return its argv."""
+    if case == "spectrum":
+        tone = generate_tone(19200.0, 5000, 96000, amplitude=0.5).samples
+        noise = synth_noise("white", 5000, 96000, seed=11).samples
+        write_wav(AudioSignal(tone + 0.05 * noise, 96000), path)
+        return ["spectrum", str(path), "--window", "hann", "--fft-size", "1024"]
+    if case == "decode_fsk":
+        config = FskConfig()
+        noise = NoiseSpec("white", 15.0, config.data_freq1_hz)
+        signal = fsk_modulate(parse_payload("0xB4"), config)
+        channel = ChannelSpec(delay_samples=1500, noise=noise, seed=12)
+        write_wav(apply_channel(signal, channel).signal, path)
+        return ["decode", "fsk", str(path), "--trace"]
+    scheme = case.removeprefix("decode_")
+    config = PskConfig()
+    modulate = dpsk_modulate if scheme == "dpsk" else bpsk_modulate
+    bits = np.concatenate([DEFAULT_HEADER_BITS, parse_payload("0x5A3C")])
+    channel = ChannelSpec(
+        delay_samples=1234, noise=NoiseSpec("white", 20.0, config.carrier_hz), seed=13
+    )
+    write_wav(apply_channel(modulate(bits, config), channel).signal, path)
+    return ["decode", scheme, str(path), "--sync", "header", "--trace"]
+
+
+def golden_stdout(case, directory):
+    """Stdout of one golden case, run on a capture written under ``directory``."""
+    import contextlib
+    import io
+
+    argv = golden_argv(case, Path(directory) / f"{case}.wav")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+class TestGoldenOutputs:
+    """Spectrum values, FSK frame powers and floors, and header-sync traces,
+    byte for byte against ``tests/golden/cli_*.txt``.
+
+    After an intended output change, regenerate them from the repository root with:
+    PYTHONPATH=src:tests python -c "import tempfile, test_cli as t; d = tempfile.mkdtemp(); [open(f'tests/golden/cli_{c}.txt', 'w').write(t.golden_stdout(c, d)) for c in t.GOLDEN_CASES]"
+    """
+
+    @pytest.mark.parametrize("case", GOLDEN_CASES)
+    def test_stdout_matches_golden(self, capsys, tmp_path, case):
+        code, stdout, err = run_cli(capsys, *golden_argv(case, tmp_path / f"{case}.wav"))
+        assert code == 0, err
+        assert stdout.encode() == (GOLDEN / f"cli_{case}.txt").read_bytes()
