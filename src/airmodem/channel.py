@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, IncompatibleSignalError, InsufficientDataError
-from .signals import AudioSignal
+from .signals import AudioSignal, framed_power
 
 NOISE_KINDS = ("white", "lowpass_music", "lowpass_voice", "broadband_jangle")
 SNR_FFT_SIZE = 4096
@@ -114,15 +114,9 @@ def _mean_bin_power(samples: np.ndarray, sample_rate_hz: int, carrier_hz: float)
 
     Signals shorter than one frame are zero-padded to a single frame.
     """
-    n = samples.size
-    if n < SNR_FFT_SIZE:
-        frames = np.pad(samples, (0, SNR_FFT_SIZE - n))[np.newaxis, :]
-    else:
-        num_frames = n // SNR_FFT_SIZE
-        frames = samples[: num_frames * SNR_FFT_SIZE].reshape(num_frames, SNR_FFT_SIZE)
-    spectra = np.fft.rfft(frames, axis=1)
-    power = (np.abs(spectra) / SNR_FFT_SIZE) ** 2
-    power[:, 1:-1] *= 2.0
+    if samples.size < SNR_FFT_SIZE:
+        samples = np.pad(samples, (0, SNR_FFT_SIZE - samples.size))
+    power = framed_power(samples, SNR_FFT_SIZE)
     bin_width = sample_rate_hz / SNR_FFT_SIZE
     index = int(round(carrier_hz / bin_width))
     if not 0 <= index < power.shape[1]:

@@ -7,6 +7,7 @@ clock).  Every command is deterministic given its flags.
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -21,25 +22,21 @@ from .errors import (
     SyncNotFoundError,
     UnsupportedFormatError,
 )
-from .signals import AudioSignal, power_spectrum
+from .signals import framed_power
 
-_PSK_FLAGS = {
+# config field -> (flag, type); a field both configs have shares one flag
+_CONFIG_FLAGS = {
     "carrier_hz": ("--carrier-hz", float),
     "bit_rate_bps": ("--bit-rate", float),
     "sample_rate_hz": ("--sample-rate", int),
     "amplitude": ("--amplitude", float),
     "ramp_fraction": ("--ramp-fraction", float),
-}
-_FSK_FLAGS = {
     "data_freq0_hz": ("--data-freq0", float),
     "data_freq1_hz": ("--data-freq1", float),
     "clock_freq0_hz": ("--clock-freq0", float),
     "clock_freq1_hz": ("--clock-freq1", float),
-    "bit_rate_bps": ("--bit-rate", float),
-    "sample_rate_hz": ("--sample-rate", int),
     "fft_size": ("--fft-size", int),
     "detection_ratio": ("--detection-ratio", float),
-    "amplitude": ("--amplitude", float),
     "band_lo_hz": ("--band-lo", float),
     "band_hi_hz": ("--band-hi", float),
 }
@@ -63,32 +60,22 @@ def parse_payload(text: str) -> np.ndarray:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    seen = {}
-    for flags in (_PSK_FLAGS, _FSK_FLAGS):
-        for field, (flag, kind) in flags.items():
-            if flag not in seen:
-                parser.add_argument(flag, type=kind, default=None, help=f"override {field}")
-                seen[flag] = kind
+    for field, (flag, kind) in _CONFIG_FLAGS.items():
+        parser.add_argument(flag, type=kind, default=None, help=f"override {field}")
 
 
-def _build_config(scheme: str, args, sample_rate_hz: int | None = None):
-    flags = _FSK_FLAGS if scheme == "fsk" else _PSK_FLAGS
+def _build_config(args, sample_rate_hz: int | None = None):
+    """The scheme's table entry and its config, with the flags' overrides."""
+    scheme = evaluate._SCHEMES[args.scheme]
+    names = {field.name for field in fields(scheme.config_class)}
     kwargs = {}
-    for field, (flag, _kind) in flags.items():
+    for field, (flag, _kind) in _CONFIG_FLAGS.items():
         value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
-        if value is not None:
+        if field in names and value is not None:
             kwargs[field] = value
     if sample_rate_hz is not None:
         kwargs["sample_rate_hz"] = sample_rate_hz
-    return fsk.FskConfig(**kwargs) if scheme == "fsk" else psk.PskConfig(**kwargs)
-
-
-def _modulate(scheme: str, bits: np.ndarray, config) -> AudioSignal:
-    if scheme == "fsk":
-        return fsk.fsk_modulate(bits, config)
-    if scheme == "bpsk":
-        return psk.bpsk_modulate(bits, config)
-    return psk.dpsk_modulate(bits, config)
+    return scheme, scheme.config_class(**kwargs)
 
 
 def _bits_to_string(bits) -> str:
@@ -97,8 +84,8 @@ def _bits_to_string(bits) -> str:
 
 def _cmd_encode(args) -> int:
     bits = parse_payload(args.payload)
-    config = _build_config(args.scheme, args)
-    signal = _modulate(args.scheme, bits, config)
+    scheme, config = _build_config(args)
+    signal = scheme.modulate(bits, config)
     wavfile.write_wav(signal, args.out)
     print(
         f"encoded {bits.size} bits in {signal.num_samples} samples "
@@ -114,34 +101,20 @@ def _cmd_decode(args) -> int:
             f"sample-rate mismatch: file has {spec.sample_rate_hz} Hz, "
             f"--sample-rate requested {args.sample_rate} Hz"
         )
-    config = _build_config(args.scheme, args, sample_rate_hz=spec.sample_rate_hz)
+    scheme, config = _build_config(args, sample_rate_hz=spec.sample_rate_hz)
     header = parse_payload(args.header_bits)
-    if args.scheme == "fsk":
-        result = fsk.fsk_demodulate(signal, config)
-        print(_bits_to_string(result.bits))
-        if args.trace:
-            print("frame,data0,data1,clock0,clock1,noise_floor,active")
-            for det in result.detections:
-                powers = ",".join(f"{det.carrier_powers[c]:.6e}" for c in fsk.CARRIER_NAMES)
-                active = "|".join(sorted(det.active_carriers))
-                print(f"{det.frame_index},{powers},{det.noise_floor_power:.6e},{active}")
-        return 0
-    skip = 0
-    if args.sync == "header":
-        if args.scheme == "dpsk":
-            template = psk.dpsk_modulate(header, config)
-            offset = psk.correlate_delay(signal, template, args.max_delay)
-        else:
-            offset = psk.estimate_delay(signal, header, config, args.max_delay)
-        skip = header.size
-    else:
-        offset = args.offset
-    if args.scheme == "dpsk":
-        trace = psk.dpsk_demodulate(signal, config, start_offset_samples=offset)
-    else:
-        trace = psk.bpsk_demodulate_coherent(signal, config, delay_samples=offset)
-    print(_bits_to_string(trace.decisions[skip:]))
-    if args.trace:
+    offset, skip = args.offset, 0
+    if args.sync == "header" and scheme.header_sync:
+        offset, skip = scheme.header_offset(signal, header, config, args.max_delay), header.size
+    bits, _erasures, trace = scheme.demodulate(signal, config, offset, skip)
+    print(_bits_to_string(bits))
+    if args.trace and args.scheme == "fsk":
+        print("frame,data0,data1,clock0,clock1,noise_floor,active")
+        for det in trace.detections:
+            powers = ",".join(f"{det.carrier_powers[c]:.6e}" for c in fsk.CARRIER_NAMES)
+            active = "|".join(sorted(det.active_carriers))
+            print(f"{det.frame_index},{powers},{det.noise_floor_power:.6e},{active}")
+    elif args.trace:
         print("bit,correlation,phase_estimate,decision,erasure")
         for i in range(trace.decisions.size):
             print(
@@ -152,11 +125,7 @@ def _cmd_decode(args) -> int:
     return 0
 
 
-def _noise_carrier_hz(scheme: str, config) -> float:
-    return config.data_freq1_hz if scheme == "fsk" else config.carrier_hz
-
-
-def _build_channel(args, scheme: str, config, snr_db: float | None) -> ChannelSpec:
+def _build_channel(args, scheme, config, snr_db: float | None) -> ChannelSpec:
     noise = None
     if snr_db is not None or args.noise_kind is not None:
         if snr_db is None:
@@ -164,14 +133,14 @@ def _build_channel(args, scheme: str, config, snr_db: float | None) -> ChannelSp
         noise = NoiseSpec(
             kind=args.noise_kind or "white",
             snr_db_at_carrier=snr_db,
-            carrier_hz=_noise_carrier_hz(scheme, config),
+            carrier_hz=scheme.noise_carrier_hz(config),
         )
     return ChannelSpec(delay_samples=args.delay, gain=args.gain, noise=noise, seed=args.seed)
 
 
 def _cmd_simulate(args) -> int:
-    config = _build_config(args.scheme, args)
-    channel = _build_channel(args, args.scheme, config, args.snr_db)
+    scheme, config = _build_config(args)
+    channel = _build_channel(args, scheme, config, args.snr_db)
     report = evaluate.run_trial(
         args.scheme, args.bits, channel, config, sync=args.sync, max_delay_samples=args.max_delay
     )
@@ -189,9 +158,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigurationError(f"--values must be comma-separated numbers, got {args.values!r}")
     if not values:
         raise ConfigurationError("--values must be non-empty")
-    config = _build_config(args.scheme, args)
+    scheme, config = _build_config(args)
     base_snr = args.snr_db if args.snr_db is not None else (values[0] if axis == "snr_db" else None)
-    channel = _build_channel(args, args.scheme, config, base_snr)
+    channel = _build_channel(args, scheme, config, base_snr)
     result = evaluate.sweep(
         args.scheme, axis, values, args.trials, channel, config, payload_bits=args.bits
     )
@@ -211,15 +180,10 @@ def _cmd_spectrum(args) -> int:
         raise InsufficientDataError(
             f"file has {mono.num_samples} samples, need at least fft_size={args.fft_size}"
         )
-    frames = range(0, mono.num_samples - args.fft_size + 1, args.fft_size)
-    total = None
-    for start in frames:
-        frame = AudioSignal(mono.samples[start : start + args.fft_size], mono.sample_rate_hz)
-        spectrum = power_spectrum(frame, args.fft_size, window=args.window)
-        total = spectrum.bin_power if total is None else total + spectrum.bin_power
-    mean_power = total / len(frames)
+    mean_power = framed_power(mono.samples, args.fft_size, args.window).mean(axis=0)
+    freqs = np.fft.rfftfreq(args.fft_size, 1.0 / mono.sample_rate_hz)
     print("freq_hz,power")
-    for freq, power in zip(spectrum.bin_freq_hz, mean_power):
+    for freq, power in zip(freqs, mean_power):
         print(f"{freq:.6f},{power:.6e}")
     return 0
 

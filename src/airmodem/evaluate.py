@@ -8,6 +8,7 @@ bit error rate is estimated geometrically as 1 / (BTSR * n).
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -21,9 +22,66 @@ from .errors import (
     SyncNotFoundError,
 )
 
-SCHEMES = ("fsk", "bpsk", "dpsk")
 SWEEP_AXES = ("snr_db", "bit_rate_bps")
 SYNC_MODES = ("known_delay", "header")
+
+
+@dataclass(frozen=True)
+class _Scheme:
+    """What differs between modulation schemes.  Entries call psk and fsk
+    through their modules, so replaced module attributes are seen."""
+
+    config_class: type
+    modulate: Callable  # (bits, config) -> AudioSignal
+    # (signal, config, offset, skip) -> (bits after the first skip, erasure count, raw trace)
+    demodulate: Callable
+    noise_carrier_hz: Callable  # config -> the carrier the channel calibrates SNR at
+    header_sync: bool = True  # False for FSK, which is self-clocked
+
+    def header_offset(self, signal, header_bits, config, max_delay_samples: int) -> int:
+        """Start of the known header in ``signal``, found by correlation."""
+        return _psk.correlate_delay(signal, self.modulate(header_bits, config), max_delay_samples)
+
+
+def _demodulate_fsk(signal, config, offset, skip):
+    # self-clocked: there is no start offset to honour and no header to skip
+    result = _fsk.fsk_demodulate(signal, config)
+    return result.bits, len(result.erasure_frame_indices), result
+
+
+def _psk_scheme(modulate: str, demodulate: str) -> _Scheme:
+    """A PSK entry; ``modulate`` and ``demodulate`` name functions in psk."""
+
+    def receive(signal, config, offset, skip):
+        trace = getattr(_psk, demodulate)(signal, config, offset)
+        return trace.decisions[skip:], int(np.count_nonzero(trace.erasures[skip:])), trace
+
+    def send(bits, config):
+        return getattr(_psk, modulate)(bits, config)
+
+    return _Scheme(_psk.PskConfig, send, receive, lambda config: config.carrier_hz)
+
+
+_SCHEMES = {
+    "fsk": _Scheme(
+        _fsk.FskConfig,
+        lambda bits, config: _fsk.fsk_modulate(bits, config),
+        _demodulate_fsk,
+        lambda config: config.data_freq1_hz,
+        header_sync=False,
+    ),
+    "bpsk": _psk_scheme("bpsk_modulate", "bpsk_demodulate_coherent"),
+    "dpsk": _psk_scheme("dpsk_modulate", "dpsk_demodulate"),
+}
+SCHEMES = tuple(_SCHEMES)
+
+
+def _lookup_scheme(scheme: str, sync: str) -> _Scheme:
+    if scheme not in _SCHEMES:
+        raise ConfigurationError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if sync not in SYNC_MODES:
+        raise ConfigurationError(f"sync must be one of {SYNC_MODES}, got {sync!r}")
+    return _SCHEMES[scheme]
 
 
 @dataclass(frozen=True)
@@ -88,18 +146,6 @@ def _trial_payload(num_bits: int, channel: ChannelSpec) -> np.ndarray:
     return random_bits(num_bits, np.random.default_rng([channel.seed, 1]))
 
 
-def _demodulate_psk_blind(scheme, received, config, header_bits, max_delay):
-    if scheme == "dpsk":
-        template = _psk.dpsk_modulate(header_bits, config)
-        offset = _psk.correlate_delay(received, template, max_delay)
-        trace = _psk.dpsk_demodulate(received, config, start_offset_samples=offset)
-    else:
-        offset = _psk.estimate_delay(received, header_bits, config, max_delay)
-        trace = _psk.bpsk_demodulate_coherent(received, config, delay_samples=offset)
-    skip = len(header_bits)
-    return trace.decisions[skip:], trace.erasures[skip:]
-
-
 def run_trial(
     scheme: str,
     payload_bits: int,
@@ -117,49 +163,22 @@ def run_trial(
     align: ``known_delay`` uses the channel's true delay (loopback mode),
     ``header`` prepends known header bits and synchronizes by correlation.
     """
-    if scheme not in SCHEMES:
-        raise ConfigurationError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if sync not in SYNC_MODES:
-        raise ConfigurationError(f"sync must be one of {SYNC_MODES}, got {sync!r}")
+    entry = _lookup_scheme(scheme, sync)
     if payload_bits < 1:
         raise ConfigurationError(f"payload_bits must be >= 1, got {payload_bits}")
     payload = _trial_payload(payload_bits, channel)
-    received = np.array([], dtype=np.int64)
-    erasure_count = 0
-    if scheme == "fsk":
-        config = config if config is not None else _fsk.FskConfig()
-        sent_signal = _fsk.fsk_modulate(payload, config)
-        out = apply_channel(sent_signal, channel)
-        try:
-            result = _fsk.fsk_demodulate(out.signal, config)
-            received = result.bits
-            erasure_count = len(result.erasure_frame_indices)
-        except (NoClockError, InsufficientDataError):
-            pass
-    else:
-        config = config if config is not None else _psk.PskConfig()
-        modulate = _psk.dpsk_modulate if scheme == "dpsk" else _psk.bpsk_modulate
-        header = np.asarray(header_bits, dtype=np.int64) if sync == "header" else None
-        tx_bits = np.concatenate([header, payload]) if sync == "header" else payload
-        out = apply_channel(modulate(tx_bits, config), channel)
-        try:
-            if sync == "header":
-                received, erasures = _demodulate_psk_blind(
-                    scheme, out.signal, config, header, max_delay_samples
-                )
-            elif scheme == "dpsk":
-                trace = _psk.dpsk_demodulate(
-                    out.signal, config, start_offset_samples=channel.delay_samples
-                )
-                received, erasures = trace.decisions, trace.erasures
-            else:
-                trace = _psk.bpsk_demodulate_coherent(
-                    out.signal, config, delay_samples=channel.delay_samples
-                )
-                received, erasures = trace.decisions, trace.erasures
-            erasure_count = int(np.count_nonzero(erasures))
-        except (SyncNotFoundError, InsufficientDataError):
-            received = np.array([], dtype=np.int64)
+    config = config if config is not None else entry.config_class()
+    use_header = sync == "header" and entry.header_sync
+    header = np.asarray(header_bits if use_header else (), dtype=np.int64)
+    out = apply_channel(entry.modulate(np.concatenate([header, payload]), config), channel)
+    received, erasure_count = np.array([], dtype=np.int64), 0
+    try:
+        offset = channel.delay_samples
+        if use_header:
+            offset = entry.header_offset(out.signal, header, config, max_delay_samples)
+        received, erasure_count, _trace = entry.demodulate(out.signal, config, offset, header.size)
+    except (NoClockError, SyncNotFoundError, InsufficientDataError):
+        pass
     btsr = compute_btsr(payload, received)
     return TransmissionReport(
         sent_bits=payload,
@@ -184,10 +203,7 @@ def _reference_noise_scale(scheme, payload_bits, channel, base_config) -> float 
     slowed down.
     """
     payload = _trial_payload(payload_bits, channel)
-    modulate = {"fsk": _fsk.fsk_modulate, "bpsk": _psk.bpsk_modulate, "dpsk": _psk.dpsk_modulate}[
-        scheme
-    ]
-    return apply_channel(modulate(payload, base_config), channel).noise_scale
+    return apply_channel(_SCHEMES[scheme].modulate(payload, base_config), channel).noise_scale
 
 
 def sweep(
@@ -208,6 +224,7 @@ def sweep(
     rather than skipped.  Sweeping ``bit_rate_bps`` keeps the noise level
     fixed at the value calibrated for the base configuration's bit rate.
     """
+    entry = _lookup_scheme(scheme, sync)
     if axis not in SWEEP_AXES:
         raise ConfigurationError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = np.asarray(values, dtype=np.float64)
@@ -216,7 +233,7 @@ def sweep(
     if trials < 2:
         raise ConfigurationError(f"trials must be >= 2, got {trials}")
     if base_config is None:
-        base_config = _fsk.FskConfig() if scheme == "fsk" else _psk.PskConfig()
+        base_config = entry.config_class()
     if axis == "snr_db" and base_channel.noise is None:
         raise ConfigurationError("snr_db sweep requires a channel with a noise spec")
     means, stds, valid = [], [], []

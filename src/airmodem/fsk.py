@@ -12,7 +12,14 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientDataError, NoClockError
-from .signals import AudioSignal, Spectrum, band_power, generate_tone, power_spectrum
+from .signals import (
+    AudioSignal,
+    Spectrum,
+    band_power,
+    framed_power,
+    generate_tone,
+    power_spectrum,
+)
 
 CARRIER_NAMES = ("data0", "data1", "clock0", "clock1")
 
@@ -135,28 +142,31 @@ def fsk_modulate(bits, config: FskConfig = FskConfig()) -> AudioSignal:
     return AudioSignal(np.stack([left, right]), config.sample_rate_hz)
 
 
+def _detect(spectrum: Spectrum, config: FskConfig, first_frame_index: int) -> list:
+    """The detection rule, applied to each frame (row) of ``spectrum.bin_power``."""
+    freqs = config.carrier_freqs_hz
+    power = np.atleast_2d(spectrum.bin_power)
+    floor = band_power(spectrum, config.band_lo_hz, config.band_hi_hz, freqs.values())
+    floor = np.broadcast_to(floor, power.shape[:1])[:, np.newaxis]
+    centers = [spectrum.nearest_bin(freq) for freq in freqs.values()]
+    peaks = np.stack([power[:, max(c - 1, 0) : c + 2].max(axis=1) for c in centers], 1)
+    active = np.where(floor > 0, peaks >= config.detection_ratio * floor, peaks > 0)
+    return [
+        CarrierDetection(
+            first_frame_index + row,
+            frozenset(name for name, on in zip(freqs, active[row]) if on),
+            float(floor[row, 0]),
+            dict(zip(freqs, peaks[row].tolist())),
+        )
+        for row in range(power.shape[0])
+    ]
+
+
 def detect_carriers_in_spectrum(
     spectrum: Spectrum, config: FskConfig = FskConfig(), frame_index: int = 0
 ) -> CarrierDetection:
     """Classify carrier activity in an already-computed power spectrum."""
-    freqs = config.carrier_freqs_hz
-    floor = band_power(
-        spectrum,
-        config.band_lo_hz,
-        config.band_hi_hz,
-        excluded_freqs_hz=freqs.values(),
-    )
-    powers = {}
-    for name, freq in freqs.items():
-        center = spectrum.nearest_bin(freq)
-        lo = max(center - 1, 0)
-        hi = min(center + 2, spectrum.bin_power.size)
-        powers[name] = float(spectrum.bin_power[lo:hi].max())
-    if floor > 0:
-        active = {name for name, p in powers.items() if p >= config.detection_ratio * floor}
-    else:
-        active = {name for name, p in powers.items() if p > 0}
-    return CarrierDetection(frame_index, frozenset(active), floor, powers)
+    return _detect(spectrum, config, frame_index)[0]
 
 
 def detect_carriers(
@@ -181,22 +191,14 @@ def fsk_demodulate(signal: AudioSignal, config: FskConfig = FskConfig()) -> FskD
     carriers at a transition emit no bit and are flagged as erasures.
     """
     x = signal.samples.sum(axis=0) if signal.channel_count == 2 else signal.samples
-    if x.size < config.fft_size:
-        raise InsufficientDataError(
-            f"signal has {x.size} samples, need at least fft_size={config.fft_size}"
-        )
+    freqs = np.fft.rfftfreq(config.fft_size, 1.0 / signal.sample_rate_hz)
+    power = framed_power(x, config.fft_size)
+    detections = _detect(Spectrum(freqs, power, config.fft_size, signal.sample_rate_hz), config, 0)
     bits = []
-    detections = []
     erasures = []
     last_clock = None
     saw_clock = False
-    for frame_index, start in enumerate(range(0, x.size - config.fft_size + 1, config.fft_size)):
-        spectrum = power_spectrum(
-            AudioSignal(x[start : start + config.fft_size], signal.sample_rate_hz),
-            config.fft_size,
-        )
-        detection = detect_carriers_in_spectrum(spectrum, config, frame_index)
-        detections.append(detection)
+    for detection in detections:
         clocks = detection.active_carriers & {"clock0", "clock1"}
         if len(clocks) != 1:
             continue  # ambiguous or absent clock: hold the previous state
@@ -212,7 +214,7 @@ def fsk_demodulate(signal: AudioSignal, config: FskConfig = FskConfig()) -> FskD
             # transition with an unreadable data carrier: flag the erasure but
             # keep the sampler armed so the next clean frame of the same bit
             # can still supply it (boundary-straddling frames read half-half)
-            erasures.append(frame_index)
+            erasures.append(detection.frame_index)
     if not saw_clock:
         raise NoClockError("no unambiguous clock carrier detected in any frame")
     return FskDemodResult(np.asarray(bits, dtype=np.int64), detections, erasures)

@@ -55,6 +55,11 @@ class PskConfig:
             raise ConfigurationError(
                 f"ramp_fraction must be in [0, 0.5), got {self.ramp_fraction}"
             )
+        if 2 * self.ramp_samples >= self.samples_per_bit:
+            raise ConfigurationError(
+                f"ramp_fraction={self.ramp_fraction} tapers all {self.samples_per_bit} "
+                "samples of a bit, leaving DPSK nothing to integrate"
+            )
 
     @property
     def samples_per_bit(self) -> int:

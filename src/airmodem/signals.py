@@ -129,6 +129,29 @@ def generate_tone(
 _WINDOWS = ("rectangular", "hann")
 
 
+def framed_power(samples: np.ndarray, fft_size: int, window: str = "rectangular") -> np.ndarray:
+    """One-sided power spectra of the non-overlapping ``fft_size`` frames of
+    mono ``samples``, as a (frames, bins) matrix; a trailing partial frame is
+    dropped.  Each row is normalized as :class:`Spectrum` describes."""
+    if samples.ndim != 1:
+        raise IncompatibleSignalError(f"framed_power expects mono samples, got {samples.shape}")
+    if fft_size < 2 or fft_size & (fft_size - 1) != 0:
+        raise ConfigurationError(f"fft_size must be a power of two >= 2, got {fft_size}")
+    if samples.size < fft_size:
+        raise InsufficientDataError(
+            f"signal has {samples.size} samples, need at least fft_size={fft_size}"
+        )
+    if window not in _WINDOWS:
+        raise ConfigurationError(f"window must be one of {_WINDOWS}, got {window!r}")
+    num_frames = samples.size // fft_size
+    frames = samples[: num_frames * fft_size].reshape(num_frames, fft_size)
+    if window == "hann":
+        frames = frames * np.hanning(fft_size)
+    power = (np.abs(np.fft.rfft(frames, axis=1)) / fft_size) ** 2
+    power[:, 1:-1] *= 2.0  # fold negative frequencies onto interior bins
+    return power
+
+
 def power_spectrum(signal: AudioSignal, fft_size: int, window: str = "rectangular") -> Spectrum:
     """One-sided power spectrum of the first ``fft_size`` samples of a mono signal.
 
@@ -138,20 +161,7 @@ def power_spectrum(signal: AudioSignal, fft_size: int, window: str = "rectangula
     """
     if signal.channel_count != 1:
         raise IncompatibleSignalError("power_spectrum expects a mono signal")
-    if fft_size < 2 or fft_size & (fft_size - 1) != 0:
-        raise ConfigurationError(f"fft_size must be a power of two >= 2, got {fft_size}")
-    if signal.num_samples < fft_size:
-        raise InsufficientDataError(
-            f"signal has {signal.num_samples} samples, need at least fft_size={fft_size}"
-        )
-    if window not in _WINDOWS:
-        raise ConfigurationError(f"window must be one of {_WINDOWS}, got {window!r}")
-    frame = signal.samples[:fft_size]
-    if window == "hann":
-        frame = frame * np.hanning(fft_size)
-    spectrum = np.fft.rfft(frame)
-    power = (np.abs(spectrum) / fft_size) ** 2
-    power[1:-1] *= 2.0  # fold negative frequencies onto interior bins
+    power = framed_power(signal.samples[:fft_size], fft_size, window)[0]
     freqs = np.fft.rfftfreq(fft_size, 1.0 / signal.sample_rate_hz)
     return Spectrum(freqs, power, fft_size, signal.sample_rate_hz)
 
@@ -162,13 +172,14 @@ def band_power(
     f_hi_hz: float,
     excluded_freqs_hz=(),
     exclusion_halfwidth_hz: float | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Mean bin power over [f_lo_hz, f_hi_hz], skipping excluded carriers.
 
     Bins within ``exclusion_halfwidth_hz`` of any excluded frequency are
     ignored (default halfwidth: two bin widths, a guard band for spectral
     leakage).  Returns 0.0 and emits :class:`EmptyBandWarning` if no bin
-    qualifies.
+    qualifies.  A spectrum whose ``bin_power`` holds one row per frame, as
+    :func:`framed_power` returns, gives an array with one mean per frame.
     """
     nyquist = spectrum.source_sample_rate_hz / 2
     if not f_lo_hz < f_hi_hz <= nyquist:
@@ -187,8 +198,11 @@ def band_power(
             EmptyBandWarning,
             stacklevel=2,
         )
-        return 0.0
-    return float(spectrum.bin_power[mask].mean())
+        means = np.zeros(spectrum.bin_power.shape[:-1])
+    else:
+        # a contiguous copy keeps each row's sum in the same order as a 1-D mean
+        means = np.ascontiguousarray(spectrum.bin_power[..., mask]).mean(axis=-1)
+    return float(means) if means.ndim == 0 else means
 
 
 def mix(a: AudioSignal, b: AudioSignal, pad_shorter: bool = False) -> AudioSignal:

@@ -206,6 +206,13 @@ class TestSimulate:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
+    def test_unworkable_ramp_exit_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "dpsk", "--bit-rate", "12000", "--ramp-fraction", "0.49"
+        )
+        assert code == 2
+        assert "ramp_fraction" in err
+
     def test_noise_kind_without_snr_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "dpsk", "--noise-kind", "white")
         assert code == 2

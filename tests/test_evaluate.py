@@ -195,6 +195,13 @@ class TestSweep:
         result = sweep("dpsk", "bit_rate_bps", [200.0], 3, channel, payload_bits=200)
         assert result.mean_btsr[0] >= 0.9
 
+    def test_unknown_scheme_or_sync_rejected_on_bitrate_axis(self):
+        channel = ChannelSpec(noise=NoiseSpec("white", 10.0, 19200.0), seed=6)
+        with pytest.raises(ConfigurationError):
+            sweep("qpsk", "bit_rate_bps", [200], 2, channel)
+        with pytest.raises(ConfigurationError):
+            sweep("dpsk", "bit_rate_bps", [200], 2, channel, sync="chirp")
+
     def test_too_few_trials_rejected(self):
         channel = ChannelSpec(noise=NoiseSpec("white", 10.0, 19200.0), seed=6)
         with pytest.raises(ConfigurationError):

@@ -267,6 +267,20 @@ class TestFskDemodulate:
         assert len(result.detections) == expected_frames
         assert [d.frame_index for d in result.detections] == list(range(expected_frames))
 
+    def test_detections_equal_per_frame_detect_carriers(self):
+        # classifying all frames from one matrix must match the per-frame path exactly
+        cfg = FskConfig()
+        rng = np.random.default_rng(RNG_SEED)
+        signal = fsk_modulate(rng.integers(0, 2, 6), cfg)
+        x = signal.samples.sum(axis=0) + 0.05 * rng.standard_normal(signal.num_samples)
+        result = fsk_demodulate(AudioSignal(x, 44100), cfg)
+        n = cfg.fft_size
+        expected = [
+            detect_carriers(AudioSignal(x[i * n : (i + 1) * n], 44100), cfg, i)
+            for i in range(x.size // n)
+        ]
+        assert result.detections == expected
+
     def test_demodulation_deterministic(self):
         cfg = FskConfig()
         rng = np.random.default_rng(RNG_SEED)

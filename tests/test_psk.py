@@ -69,6 +69,9 @@ class TestPskConfig:
             PskConfig(ramp_fraction=0.5)
         with pytest.raises(ConfigurationError):
             PskConfig(ramp_fraction=-0.1)
+        # 8 samples per bit with 4-sample ramps on each side: nothing left to integrate
+        with pytest.raises(ConfigurationError):
+            PskConfig(bit_rate_bps=12000, ramp_fraction=0.49)
 
 
 class TestBipolarAndEncode:

@@ -12,11 +12,13 @@ from airmodem import (
     IncompatibleSignalError,
     InsufficientDataError,
     NyquistViolationError,
+    Spectrum,
     band_power,
     generate_tone,
     mix,
     power_spectrum,
 )
+from airmodem.signals import framed_power
 
 from oracles import naive_band_mean, naive_power_spectrum
 
@@ -161,6 +163,32 @@ class TestPowerSpectrum:
     def test_unknown_window_rejected(self):
         with pytest.raises(ConfigurationError):
             power_spectrum(AudioSignal(np.zeros(512), 44100), 512, window="hamming")
+
+
+class TestFramedPower:
+    @pytest.mark.parametrize("window", ["rectangular", "hann"])
+    def test_rows_equal_the_per_frame_loop_bit_for_bit(self, window):
+        samples = np.random.default_rng(31).standard_normal(5 * 1024 + 100)
+        power = framed_power(samples, 1024, window)
+        assert power.shape == (5, 513)  # the trailing partial frame is dropped
+        taper = np.hanning(1024) if window == "hann" else 1.0
+        for index, row in enumerate(power):
+            frame = samples[index * 1024 : (index + 1) * 1024] * taper
+            expected = (np.abs(np.fft.rfft(frame)) / 1024) ** 2
+            expected[1:-1] *= 2.0
+            np.testing.assert_array_equal(row, expected)
+
+    def test_stereo_rejected(self):
+        with pytest.raises(IncompatibleSignalError):
+            framed_power(np.zeros((2, 4096)), 1024)
+
+    def test_band_power_of_frames_equals_each_frame_bit_for_bit(self):
+        power = framed_power(np.random.default_rng(32).standard_normal(6 * 4096), 4096)
+        freqs = np.fft.rfftfreq(4096, 1.0 / 44100)
+        def floor(bin_power):
+            return band_power(Spectrum(freqs, bin_power, 4096, 44100), 18000, 19500, [18250])
+
+        np.testing.assert_array_equal(floor(power), [floor(row) for row in power])
 
 
 class TestBandPower:
