@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import contextlib
+import io
 from pathlib import Path
 
 import numpy as np
@@ -326,9 +328,6 @@ def golden_argv(case, path):
 
 def golden_stdout(case, directory):
     """Stdout of one golden case, run on a capture written under ``directory``."""
-    import contextlib
-    import io
-
     argv = golden_argv(case, Path(directory) / f"{case}.wav")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -341,7 +340,7 @@ class TestGoldenOutputs:
     byte for byte against ``tests/golden/cli_*.txt``.
 
     After an intended output change, regenerate them from the repository root with:
-    PYTHONPATH=src:tests python -c "import tempfile, test_cli as t; d = tempfile.mkdtemp(); [open(f'tests/golden/cli_{c}.txt', 'w').write(t.golden_stdout(c, d)) for c in t.GOLDEN_CASES]"
+    PYTHONPATH=src:tests python -c "import tempfile, test_cli as t; d = tempfile.TemporaryDirectory(); [open(f'tests/golden/cli_{c}.txt', 'w').write(t.golden_stdout(c, d.name)) for c in t.GOLDEN_CASES]"
     """
 
     @pytest.mark.parametrize("case", GOLDEN_CASES)
