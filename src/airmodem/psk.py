@@ -132,12 +132,13 @@ def apply_transition_ramp(signal: AudioSignal, boundaries, config: PskConfig) ->
         raise ConfigurationError("boundaries must lie within the signal")
     if (np.diff(boundaries) < 2 * r).any():
         raise ConfigurationError("ramp windows overlap; reduce ramp_fraction or spread boundaries")
+    # sample b+j sits |j+0.5| from the boundary, so every dip is the same
+    offsets = np.arange(-r, r)
+    dip = 0.5 * (1.0 - np.cos(np.pi * np.abs(offsets + 0.5) / r))
+    k = boundaries[:, None] + offsets
+    inside = (k >= 0) & (k < n)
     envelope = np.ones(n)
-    for b in boundaries:
-        lo, hi = max(b - r, 0), min(b + r, n)
-        k = np.arange(lo, hi)
-        dist = np.minimum(np.abs(k + 0.5 - b), r)
-        envelope[lo:hi] *= 0.5 * (1.0 - np.cos(np.pi * dist / r))
+    envelope[k[inside]] = np.broadcast_to(dip, k.shape)[inside]
     return AudioSignal(signal.samples * envelope, signal.sample_rate_hz)
 
 
@@ -193,8 +194,11 @@ def correlate_delay(received: AudioSignal, template: AudioSignal, max_delay_samp
     """Delay (in samples) maximizing the normalized cross-correlation of
     ``template`` against ``received``, searched over [0, max_delay_samples].
 
-    Ties break toward the smallest delay.  Raises SyncNotFoundError when the
-    peak is not at least 3x the median off-peak correlation magnitude.
+    The sliding dot products come from one FFT cross-correlation, so a
+    one-second search window costs a few FFTs rather than a direct-form sum
+    over every lag.  Ties break toward the smallest delay.  Raises
+    SyncNotFoundError when the peak is not at least 3x the median off-peak
+    correlation magnitude.
     """
     if received.channel_count != 1:
         received = received.mixdown()
@@ -210,7 +214,10 @@ def correlate_delay(received: AudioSignal, template: AudioSignal, max_delay_samp
             f"have {received.num_samples}"
         )
     seg = received.samples[: length + max_delay_samples]
-    dots = np.correlate(seg, t, mode="valid")
+    # next power of two >= seg.size, so no lag in [0, max_delay] wraps around
+    n = 1 << (seg.size - 1).bit_length()
+    dots = np.fft.irfft(np.fft.rfft(seg, n) * np.conj(np.fft.rfft(t, n)), n)
+    dots = dots[: max_delay_samples + 1]
     cumsq = np.concatenate(([0.0], np.cumsum(seg * seg)))
     window_norm = np.sqrt(cumsq[length:] - cumsq[:-length])
     denom = window_norm * np.sqrt((t * t).sum())

@@ -127,6 +127,9 @@ def generate_tone(
 
 
 _WINDOWS = ("rectangular", "hann")
+# framed_power transforms this many samples' worth of frames at a time, so its
+# transient copies stay a few MB however long the signal is
+_BLOCK_SAMPLES = 1 << 16
 
 
 def framed_power(samples: np.ndarray, fft_size: int, window: str = "rectangular") -> np.ndarray:
@@ -145,9 +148,17 @@ def framed_power(samples: np.ndarray, fft_size: int, window: str = "rectangular"
         raise ConfigurationError(f"window must be one of {_WINDOWS}, got {window!r}")
     num_frames = samples.size // fft_size
     frames = samples[: num_frames * fft_size].reshape(num_frames, fft_size)
-    if window == "hann":
-        frames = frames * np.hanning(fft_size)
-    power = (np.abs(np.fft.rfft(frames, axis=1)) / fft_size) ** 2
+    taper = np.hanning(fft_size) if window == "hann" else None
+    power = np.empty((num_frames, fft_size // 2 + 1))
+    step = max(1, _BLOCK_SAMPLES // fft_size)
+    for lo in range(0, num_frames, step):
+        block = frames[lo : lo + step]
+        if taper is not None:
+            block = block * taper
+        rows = power[lo : lo + step]
+        np.abs(np.fft.rfft(block, axis=1), out=rows)
+        rows /= fft_size
+        rows **= 2
     power[:, 1:-1] *= 2.0  # fold negative frequencies onto interior bins
     return power
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
-These deliberately avoid the library's FFT paths: the spectrum oracle is a
-direct O(N^2) DFT and the phase oracle is plain quadrature correlation, so
-they can vouch for the fast implementations.
+These deliberately avoid the library's fast paths: the spectrum oracle is a
+direct O(N^2) DFT, the phase oracle is plain quadrature correlation, the
+correlation oracle takes one dot product per delay and the ramp oracle loops
+over boundaries, so they can vouch for the fast implementations.
 """
 
 import numpy as np
@@ -58,3 +59,31 @@ def measure_symbol_phases(
         quadrature = -(seg * np.sin(ref)).sum()
         phases[i] = np.arctan2(quadrature, in_phase) % (2.0 * np.pi)
     return phases
+
+
+def naive_ncc(received: np.ndarray, template: np.ndarray, max_delay: int) -> np.ndarray:
+    """Normalized cross-correlation of ``template`` at every delay in
+    [0, max_delay], one dot product per delay; silent windows score 0."""
+    received = np.asarray(received, dtype=np.float64)
+    template = np.asarray(template, dtype=np.float64)
+    template_norm = np.linalg.norm(template)
+    ncc = np.zeros(max_delay + 1)
+    for d in range(max_delay + 1):
+        window = received[d : d + template.size]
+        denom = np.linalg.norm(window) * template_norm
+        if denom > 0:
+            ncc[d] = np.dot(window, template) / denom
+    return ncc
+
+
+def loop_ramp_envelope(num_samples: int, boundaries, ramp_samples: int) -> np.ndarray:
+    """Transition-ramp envelope built one boundary at a time: a raised-cosine
+    dip over ``ramp_samples`` on each side of every boundary."""
+    r = ramp_samples
+    envelope = np.ones(num_samples)
+    for b in boundaries:
+        lo, hi = max(b - r, 0), min(b + r, num_samples)
+        k = np.arange(lo, hi)
+        dist = np.minimum(np.abs(k + 0.5 - b), r)
+        envelope[lo:hi] *= 0.5 * (1.0 - np.cos(np.pi * dist / r))
+    return envelope

@@ -31,7 +31,7 @@ from airmodem.evaluate import (
 )
 from airmodem.fsk import detect_carriers_in_spectrum
 from airmodem.psk import dpsk_demodulate
-from airmodem.signals import Spectrum
+from airmodem.signals import Spectrum, framed_power
 
 from oracles import naive_power_spectrum
 
@@ -97,15 +97,11 @@ def _criterion5_csv() -> tuple[np.ndarray, str]:
 
 
 def _band_total(signal: AudioSignal, lo: float, hi: float) -> float:
+    """Total hann-windowed power in [lo, hi] Hz, averaged over 4096-sample frames."""
     fft = 4096
-    total, frames = 0.0, 0
-    for start in range(0, signal.num_samples - fft + 1, fft):
-        frame = AudioSignal(signal.samples[start : start + fft], signal.sample_rate_hz)
-        spectrum = power_spectrum(frame, fft, window="hann")
-        mask = (spectrum.bin_freq_hz >= lo) & (spectrum.bin_freq_hz <= hi)
-        total += spectrum.bin_power[mask].sum()
-        frames += 1
-    return total / frames
+    freqs = np.fft.rfftfreq(fft, 1.0 / signal.sample_rate_hz)
+    power = framed_power(signal.samples, fft, window="hann")
+    return power[:, (freqs >= lo) & (freqs <= hi)].sum(axis=1).mean()
 
 
 # --- criteria ----------------------------------------------------------------

@@ -25,7 +25,7 @@ from airmodem import (
 from airmodem.channel import ChannelSpec, NoiseSpec, apply_channel
 from airmodem.psk import DEFAULT_HEADER_BITS
 
-from oracles import measure_symbol_phases
+from oracles import loop_ramp_envelope, measure_symbol_phases, naive_ncc
 
 RNG_SEED = 1234
 
@@ -186,6 +186,25 @@ class TestTransitionRamp:
         with pytest.raises(ConfigurationError):
             apply_transition_ramp(sig, [2000], cfg)
 
+    def test_matches_loop_oracle_bitwise(self):
+        rng = np.random.default_rng(RNG_SEED)
+        fractions = [0.0, 0.45] + list(rng.uniform(0.0, 0.45, 98))
+        for i, fraction in enumerate(fractions):
+            cfg = PskConfig(
+                sample_rate_hz=(96000, 48000, 44100)[i % 3],
+                bit_rate_bps=(50, 100, 200, 400, 1000)[i % 5],
+                ramp_fraction=fraction,
+            )
+            spb = cfg.samples_per_bit
+            num_symbols = int(rng.integers(1, 12))
+            n = num_symbols * spb
+            # any symbol boundaries, both signal ends included
+            boundaries = np.flatnonzero(rng.random(num_symbols + 1) < 0.5) * spb
+            sig = AudioSignal(rng.standard_normal(n), cfg.sample_rate_hz)
+            out = apply_transition_ramp(sig, boundaries, cfg)
+            expected = sig.samples * loop_ramp_envelope(n, boundaries, cfg.ramp_samples)
+            assert out.samples.tobytes() == expected.tobytes(), (fraction, boundaries)
+
     def test_single_transition_lowers_audible_band_power(self):
         cfg = PskConfig()
         ramped = dpsk_modulate([1], cfg)
@@ -278,14 +297,7 @@ class TestEstimateDelay:
         sig = self._delayed_header(53, cfg, margin=200)
         template = bpsk_modulate(np.asarray(DEFAULT_HEADER_BITS), cfg).samples
         max_delay = 120
-        best, best_val = 0, -1.0
-        for d in range(max_delay + 1):  # brute-force normalized correlation
-            window = sig.samples[d : d + template.size]
-            denom = np.linalg.norm(window) * np.linalg.norm(template)
-            val = abs(float(window @ template) / denom) if denom > 0 else 0.0
-            if val > best_val:
-                best, best_val = d, val
-        assert best == 53
+        assert int(np.argmax(np.abs(naive_ncc(sig.samples, template, max_delay)))) == 53
         assert estimate_delay(sig, DEFAULT_HEADER_BITS, cfg, max_delay) == 53
 
     def test_noisy_recovery_monte_carlo(self):
@@ -335,6 +347,64 @@ class TestEstimateDelay:
         template = bpsk_modulate(np.asarray(DEFAULT_HEADER_BITS), cfg)
         with pytest.raises(ConfigurationError):
             correlate_delay(sig, template, -1)
+
+
+class TestCorrelateDelayOracle:
+    """correlate_delay must pick the brute-force oracle's delay on noisy captures."""
+
+    MODULATORS = {"bpsk": bpsk_modulate, "dpsk": dpsk_modulate}
+
+    def _template(self, scheme, rate):
+        return self.MODULATORS[scheme](DEFAULT_HEADER_BITS, PskConfig(sample_rate_hz=rate))
+
+    def _capture(self, scheme, rate, delay, snr_db, seed, payload_bits):
+        cfg = PskConfig(sample_rate_hz=rate)
+        payload = np.random.default_rng(seed).integers(0, 2, payload_bits)
+        burst = self.MODULATORS[scheme](list(DEFAULT_HEADER_BITS) + list(payload), cfg)
+        spec = ChannelSpec(
+            delay_samples=delay, noise=NoiseSpec("white", snr_db, cfg.carrier_hz), seed=seed
+        )
+        return apply_channel(burst, spec).signal
+
+    @staticmethod
+    def _check(received, template, max_delay):
+        oracle = naive_ncc(received.samples, template.samples, max_delay)
+        assert correlate_delay(received, template, max_delay) == int(np.argmax(np.abs(oracle)))
+
+    @pytest.mark.parametrize("scheme", ["bpsk", "dpsk"])
+    @pytest.mark.parametrize("rate", [96000, 44100])
+    def test_noisy_captures_match_oracle(self, scheme, rate):
+        template = self._template(scheme, rate)
+        spb = PskConfig(sample_rate_hz=rate).samples_per_bit
+        # searched segment lengths: arbitrary, one under a power of two, one
+        # exactly a power of two, one over
+        for i, seg_size in enumerate([template.num_samples + 2999, 16383, 16384, 16385]):
+            max_delay = seg_size - template.num_samples
+            delay = (613 * (i + 1)) % (max_delay - 100)
+            received = self._capture(scheme, rate, delay, 8.0 + 4 * i, 10 + i, seg_size // spb)
+            self._check(received, template, max_delay)
+
+    @pytest.mark.parametrize("scheme", ["bpsk", "dpsk"])
+    def test_capture_ending_in_silence_matches_oracle(self, scheme):
+        template = self._template(scheme, 96000)
+        burst = self._capture(scheme, 96000, 700, 12.0, 3, payload_bits=4)
+        silence = np.zeros(template.num_samples + 2000)
+        received = AudioSignal(np.concatenate([burst.samples, silence]), 96000)
+        # the last 2000 delays of the search see nothing but digital silence
+        max_delay = received.num_samples - template.num_samples
+        self._check(received, template, max_delay)
+
+    @pytest.mark.parametrize("scheme", ["bpsk", "dpsk"])
+    @pytest.mark.parametrize("rate", [96000, 44100])
+    def test_silence_and_wrong_header_raise(self, scheme, rate):
+        template = self._template(scheme, rate)
+        silence = AudioSignal(np.zeros(template.num_samples + 3000), rate)
+        with pytest.raises(SyncNotFoundError):
+            correlate_delay(silence, template, 3000)
+        wrong = bpsk_modulate(np.ones(40, dtype=int), PskConfig(sample_rate_hz=rate))
+        sig = AudioSignal(np.concatenate([wrong.samples, np.zeros(1000)]), rate)
+        with pytest.raises(SyncNotFoundError):
+            correlate_delay(sig, template, 3000)
 
 
 class TestDpskModulate:
