@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, IncompatibleSignalError, InsufficientDataError
-from .signals import AudioSignal, framed_power
+from .signals import AudioSignal
 
 NOISE_KINDS = ("white", "lowpass_music", "lowpass_voice", "broadband_jangle")
 SNR_FFT_SIZE = 4096
@@ -37,10 +37,18 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ConfigurationError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
-        if self.carrier_hz <= 0:
-            raise ConfigurationError(f"carrier_hz must be positive, got {self.carrier_hz}")
-        if self.fixed_scale is not None and self.fixed_scale < 0:
-            raise ConfigurationError(f"fixed_scale must be >= 0, got {self.fixed_scale}")
+        if not math.isfinite(self.snr_db_at_carrier):
+            raise ConfigurationError(
+                f"snr_db_at_carrier must be finite, got {self.snr_db_at_carrier}"
+            )
+        if not 0 < self.carrier_hz < math.inf:
+            raise ConfigurationError(
+                f"carrier_hz must be positive and finite, got {self.carrier_hz}"
+            )
+        if self.fixed_scale is not None and not 0 <= self.fixed_scale < math.inf:
+            raise ConfigurationError(
+                f"fixed_scale must be >= 0 and finite, got {self.fixed_scale}"
+            )
 
 
 @dataclass(frozen=True)
@@ -55,8 +63,8 @@ class ChannelSpec:
     def __post_init__(self):
         if self.delay_samples < 0:
             raise ConfigurationError(f"delay_samples must be >= 0, got {self.delay_samples}")
-        if self.gain <= 0:
-            raise ConfigurationError(f"gain must be > 0, got {self.gain}")
+        if not 0 < self.gain < math.inf:
+            raise ConfigurationError(f"gain must be > 0 and finite, got {self.gain}")
 
 
 @dataclass(frozen=True)
@@ -86,23 +94,33 @@ def synth_noise(kind: str, num_samples: int, sample_rate_hz: int, seed: int) -> 
     2 kHz / 4 kHz corner steeply enough that at least 90% of the power sits
     below 10 kHz.  broadband_jangle: nearly flat, with under 3 dB of tilt
     across the band.  Scale is left to the caller (channel calibration).
+
+    White noise is ``num_samples`` standard normals divided by their RMS.
+    The other kinds shape ``m`` standard normals in the frequency domain,
+    ``m`` being the next power of two >= ``num_samples``, and keep the first
+    ``num_samples``: any stretch of circularly filtered white noise has the
+    same spectral law, and a power-of-two FFT avoids the slow path numpy
+    takes for lengths with a large prime factor.  The RMS is normalized over
+    the kept samples.
     """
     if kind not in NOISE_KINDS:
         raise ConfigurationError(f"noise kind must be one of {NOISE_KINDS}, got {kind!r}")
     if num_samples < 1:
         raise ConfigurationError(f"num_samples must be >= 1, got {num_samples}")
     rng = np.random.default_rng(seed)
-    samples = rng.standard_normal(num_samples)
-    if kind != "white":
-        spectrum = np.fft.rfft(samples)
-        freq = np.fft.rfftfreq(num_samples, 1.0 / sample_rate_hz)
+    if kind == "white":
+        samples = rng.standard_normal(num_samples)
+    else:
+        m = 1 << (num_samples - 1).bit_length()
+        freq = np.fft.rfftfreq(m, 1.0 / sample_rate_hz)
         if kind == "lowpass_voice":
             gain = 1.0 / (1.0 + (freq / 2000.0) ** 2)
         elif kind == "lowpass_music":
             gain = 1.0 / (1.0 + (freq / 4000.0) ** 2)
         else:  # broadband_jangle: metallic wideband rattle, slight rolloff
             gain = 1.0 / np.sqrt(1.0 + (freq / 30000.0) ** 2)
-        samples = np.fft.irfft(spectrum * gain, num_samples)
+        spectrum = np.fft.rfft(rng.standard_normal(m)) * gain
+        samples = np.fft.irfft(spectrum, m)[:num_samples]
     rms = math.sqrt(float(np.mean(samples**2)))
     if rms > 0:
         samples = samples / rms
@@ -112,22 +130,33 @@ def synth_noise(kind: str, num_samples: int, sample_rate_hz: int, seed: int) -> 
 def _mean_bin_power(samples: np.ndarray, sample_rate_hz: int, carrier_hz: float) -> float:
     """Carrier-bin power averaged over non-overlapping 4096-point frames.
 
-    Signals shorter than one frame are zero-padded to a single frame.
+    Each frame is projected onto the carrier bin's cosine and sine, which
+    gives that one bin of the frame's DFT, normalized as :class:`Spectrum`
+    describes.  A trailing partial frame is dropped; signals shorter than
+    one frame are zero-padded to a single frame.
     """
-    if samples.size < SNR_FFT_SIZE:
-        samples = np.pad(samples, (0, SNR_FFT_SIZE - samples.size))
-    power = framed_power(samples, SNR_FFT_SIZE)
     bin_width = sample_rate_hz / SNR_FFT_SIZE
     index = int(round(carrier_hz / bin_width))
-    if not 0 <= index < power.shape[1]:
+    if not 0 <= index <= SNR_FFT_SIZE // 2:
         raise ConfigurationError(f"carrier_hz={carrier_hz} outside the spectrum")
-    return float(power[:, index].mean())
+    if samples.size < SNR_FFT_SIZE:
+        samples = np.pad(samples, (0, SNR_FFT_SIZE - samples.size))
+    num_frames = samples.size // SNR_FFT_SIZE
+    frames = samples[: num_frames * SNR_FFT_SIZE].reshape(num_frames, SNR_FFT_SIZE)
+    # reduce index*j mod N first so the angle stays exact for high bins
+    theta = 2.0 * np.pi * (np.arange(SNR_FFT_SIZE) * index % SNR_FFT_SIZE) / SNR_FFT_SIZE
+    z = frames @ np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    power = (z * z).sum(axis=1) / SNR_FFT_SIZE**2
+    if 0 < index < SNR_FFT_SIZE // 2:
+        power *= 2.0  # fold the negative frequency onto interior bins
+    return float(power.mean())
 
 
 def measure_snr_at(signal: AudioSignal, noise: AudioSignal, carrier_hz: float) -> float:
     """SNR in dB between two signals at the FFT bin nearest ``carrier_hz``.
 
-    Returns +inf when the noise has no power at that bin.
+    Returns +inf when the noise has no power at that bin, and -inf when
+    only the signal has none.
     """
     if signal.sample_rate_hz != noise.sample_rate_hz:
         raise IncompatibleSignalError(
@@ -139,6 +168,8 @@ def measure_snr_at(signal: AudioSignal, noise: AudioSignal, carrier_hz: float) -
     n = _mean_bin_power(noise.mixdown().samples, noise.sample_rate_hz, carrier_hz)
     if n == 0.0:
         return math.inf
+    if s == 0.0:
+        return -math.inf
     return 10.0 * math.log10(s / n)
 
 

@@ -6,6 +6,7 @@ transition that tells the receiver when to sample the data carrier.  Carrier
 detection compares per-carrier power against an adaptive in-band noise floor.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -62,7 +63,7 @@ class FskConfig:
                 raise ConfigurationError(f"{name}={freq} at or above Nyquist")
         if self.band_hi_hz > self.sample_rate_hz / 2:
             raise ConfigurationError("band_hi_hz must not exceed Nyquist")
-        if self.bit_rate_bps <= 0:
+        if not self.bit_rate_bps > 0:  # written so that NaN fails too
             raise ConfigurationError(f"bit_rate_bps must be positive, got {self.bit_rate_bps}")
         if self.samples_per_bit < 2 * self.fft_size:
             raise ConfigurationError(
@@ -71,8 +72,10 @@ class FskConfig:
             )
         if not 0.0 < self.amplitude <= 1.0:
             raise ConfigurationError(f"amplitude must be in (0, 1], got {self.amplitude}")
-        if self.detection_ratio <= 0:
-            raise ConfigurationError(f"detection_ratio must be positive, got {self.detection_ratio}")
+        if not 0 < self.detection_ratio < math.inf:
+            raise ConfigurationError(
+                f"detection_ratio must be positive and finite, got {self.detection_ratio}"
+            )
 
     @property
     def samples_per_bit(self) -> int:

@@ -42,7 +42,7 @@ class PskConfig:
             raise NyquistViolationError(
                 f"carrier_hz={self.carrier_hz} must lie in (0, {self.sample_rate_hz / 2})"
             )
-        if self.bit_rate_bps <= 0:
+        if not self.bit_rate_bps > 0:  # written so that NaN fails too
             raise ConfigurationError(f"bit_rate_bps must be positive, got {self.bit_rate_bps}")
         if self.samples_per_bit < 8:
             raise ConfigurationError(

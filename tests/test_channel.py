@@ -18,6 +18,8 @@ from airmodem import (
     power_spectrum,
     synth_noise,
 )
+from airmodem.channel import SNR_FFT_SIZE, _mean_bin_power
+from airmodem.signals import framed_power
 
 RNG_SEED = 99
 
@@ -51,6 +53,16 @@ class TestSpecs:
     def test_negative_fixed_scale_rejected(self):
         with pytest.raises(ConfigurationError):
             NoiseSpec(kind="white", snr_db_at_carrier=10.0, carrier_hz=19200.0, fixed_scale=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["snr_db_at_carrier", "carrier_hz", "fixed_scale", "gain"])
+    def test_non_finite_values_rejected(self, field, value):
+        noise = {"kind": "white", "snr_db_at_carrier": 10.0, "carrier_hz": 19200.0}
+        with pytest.raises(ConfigurationError):
+            if field == "gain":
+                ChannelSpec(gain=value, noise=NoiseSpec(**noise))
+            else:
+                NoiseSpec(**{**noise, field: value})
 
 
 class TestApplyChannel:
@@ -161,9 +173,16 @@ class TestSynthNoise:
             assert np.sqrt(np.mean(sig.samples**2)) == pytest.approx(1.0, rel=1e-9)
 
     @pytest.mark.parametrize("kind", ["lowpass_voice", "lowpass_music"])
-    @pytest.mark.parametrize("rate", [44100, 96000])
-    def test_lowpass_kinds_mostly_below_10k(self, kind, rate):
-        sig = synth_noise(kind, 4 * rate, rate, 42)
+    @pytest.mark.parametrize(
+        "rate,num_samples",
+        [
+            pytest.param(44100, 4 * 44100, id="44100"),
+            pytest.param(96000, 4 * 96000, id="96000"),
+            pytest.param(44100, 4 * 44100 + 1, id="44100-prime_length"),
+        ],
+    )
+    def test_lowpass_kinds_mostly_below_10k(self, kind, rate, num_samples):
+        sig = synth_noise(kind, num_samples, rate, 42)
         assert spectral_fraction_below(sig, 10000.0) >= 0.9
 
     def test_voice_rolls_off_lower_than_music(self):
@@ -172,17 +191,33 @@ class TestSynthNoise:
         assert spectral_fraction_below(voice, 4000.0) > spectral_fraction_below(music, 4000.0)
 
     def test_jangle_nearly_flat_into_carrier_band(self):
-        sig = synth_noise("broadband_jangle", 8 * 96000, 96000, 21)
-        high = band_density(sig, 18000.0, 19500.0)
-        low = band_density(sig, 1000.0, 2000.0)
-        tilt_db = abs(10 * math.log10(high / low))
-        assert tilt_db <= 3.0
+        for num_samples in (8 * 96000, 768013):  # the second length is prime
+            sig = synth_noise("broadband_jangle", num_samples, 96000, 21)
+            high = band_density(sig, 18000.0, 19500.0)
+            low = band_density(sig, 1000.0, 2000.0)
+            tilt_db = abs(10 * math.log10(high / low))
+            assert tilt_db <= 3.0
 
     def test_white_flat_across_band(self):
         sig = synth_noise("white", 8 * 96000, 96000, 21)
         high = band_density(sig, 18000.0, 19500.0)
         low = band_density(sig, 1000.0, 2000.0)
         assert abs(10 * math.log10(high / low)) <= 1.0
+
+    def test_white_is_scaled_standard_normals(self):
+        sig = synth_noise("white", 12345, 96000, 17)
+        expected = np.random.default_rng(17).standard_normal(12345)
+        expected = expected / math.sqrt(float(np.mean(expected**2)))
+        np.testing.assert_array_equal(sig.samples, expected)
+
+    @pytest.mark.parametrize("kind", ["lowpass_music", "lowpass_voice", "broadband_jangle"])
+    @pytest.mark.parametrize("num_samples", [1, 2, 4096, 4097, 4093])
+    def test_shaped_kinds_any_length(self, kind, num_samples):
+        sig = synth_noise(kind, num_samples, 44100, 3)
+        assert sig.num_samples == num_samples
+        assert np.sqrt(np.mean(sig.samples**2)) == pytest.approx(1.0, rel=1e-9)
+        again = synth_noise(kind, num_samples, 44100, 3)
+        np.testing.assert_array_equal(sig.samples, again.samples)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -220,6 +255,11 @@ class TestMeasureSnr:
         silence = AudioSignal(np.zeros(8192), 96000)
         assert measure_snr_at(sig, silence, 19200.0) == math.inf
 
+    def test_zero_signal_gives_minus_infinity(self):
+        silence = AudioSignal(np.zeros(8192), 96000)
+        noise = synth_noise("white", 8192, 96000, 4)
+        assert measure_snr_at(silence, noise, 19200.0) == -math.inf
+
     def test_rate_mismatch_rejected(self):
         a = generate_tone(19200, 8192, 96000)
         b = generate_tone(18000, 8192, 44100)
@@ -231,3 +271,21 @@ class TestMeasureSnr:
         b = AudioSignal(np.zeros(8192), 96000)
         with pytest.raises(InsufficientDataError):
             measure_snr_at(a, b, 19200.0)
+
+
+class TestMeanBinPower:
+    @pytest.mark.parametrize("rate", [44100, 48000, 96000])
+    @pytest.mark.parametrize("num_samples", [1000, SNR_FFT_SIZE, 3 * SNR_FFT_SIZE + 1234])
+    def test_matches_framed_power_bin(self, rate, num_samples):
+        samples = np.random.default_rng(num_samples).standard_normal(num_samples)
+        padded = np.pad(samples, (0, max(0, SNR_FFT_SIZE - num_samples)))
+        power = framed_power(padded, SNR_FFT_SIZE)
+        frame_power = power.sum(axis=1).mean()
+        bin_width = rate / SNR_FFT_SIZE
+        for index in (0, 1, 1747, SNR_FFT_SIZE // 2 - 1, SNR_FFT_SIZE // 2):
+            got = _mean_bin_power(samples, rate, index * bin_width)
+            assert abs(got - power[:, index].mean()) <= 1e-9 * frame_power
+
+    def test_carrier_outside_spectrum_rejected(self):
+        with pytest.raises(ConfigurationError):
+            _mean_bin_power(np.ones(SNR_FFT_SIZE), 44100, 23000.0)

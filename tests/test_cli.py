@@ -219,6 +219,23 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "dpsk", "--noise-kind", "white")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "scheme,flag,value",
+        [
+            ("dpsk", "--bit-rate", "nan"),
+            ("fsk", "--bit-rate", "nan"),
+            ("dpsk", "--snr-db", "nan"),
+            ("dpsk", "--snr-db", "inf"),
+            ("dpsk", "--gain", "nan"),
+            ("fsk", "--detection-ratio", "nan"),
+        ],
+    )
+    def test_non_finite_flag_exit_2(self, capsys, scheme, flag, value):
+        code, stdout, err = run_cli(capsys, "simulate", scheme, flag, value, "--bits", "8")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error:")
+
 
 class TestSweep:
     def test_snr_axis_csv_shape(self, capsys):

@@ -1,5 +1,7 @@
 """Tests for dual-channel FSK modulation, carrier detection, demodulation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,12 @@ class TestFskConfig:
         # 44100/8 = 5512 samples per bit < 2*4096
         with pytest.raises(ConfigurationError):
             FskConfig(bit_rate_bps=8.0)
+
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["bit_rate_bps", "detection_ratio"])
+    def test_rate_and_ratio_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ConfigurationError):
+            FskConfig(**{field: value})
 
     def test_fft_size_power_of_two(self):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,7 @@
 """Tests for BPSK/DPSK modulation, demodulation, ramping and delay sync."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,11 @@ class TestPskConfig:
     def test_too_few_samples_per_bit_rejected(self):
         with pytest.raises(ConfigurationError):
             PskConfig(bit_rate_bps=20000.0)
+
+    @pytest.mark.parametrize("rate", [0.0, -200.0, math.nan, math.inf])
+    def test_bit_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ConfigurationError):
+            PskConfig(bit_rate_bps=rate)
 
     def test_amplitude_bounds(self):
         with pytest.raises(ConfigurationError):
