@@ -3,9 +3,9 @@
 #
 # BPSK keys the absolute carrier phase, so the receiver must first estimate
 # the propagation delay (here: correlating against a known header).  DPSK
-# keys phase *changes* and demodulates by multiplying the signal with itself
-# delayed one symbol, so an unknown delay only has to be known to symbol
-# granularity.  Both taper amplitude around phase steps so the transitions
+# keys phase *changes* and demodulates by comparing each symbol's carrier
+# phase with the previous symbol's, so an unknown delay only has to be known
+# to symbol granularity.  Both taper amplitude around phase steps so the transitions
 # stay inaudible.
 ##############################################################################
 

@@ -2,7 +2,7 @@
 
 Modulates bit streams onto 18-19.5 kHz carriers that commodity speakers can
 emit and laptop microphones can capture, using dual-channel FSK, coherent
-BPSK, or delay-and-multiply DPSK.  Includes a deterministic simulated
+BPSK, or differentially detected DPSK.  Includes a deterministic simulated
 acoustic channel, a Monte-Carlo evaluation harness, bit-exact WAV I/O, and a
 CLI for driving all of it.
 """

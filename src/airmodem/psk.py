@@ -1,12 +1,14 @@
 """Binary and differential phase-shift keying over a near-ultrasonic carrier.
 
-BPSK keys the absolute carrier phase (0 or pi) and therefore needs a
-phase-aligned reference at the receiver; DPSK keys phase *changes* between
-consecutive symbol periods and is demodulated delay-and-multiply style with
-no absolute reference.  Both modulators taper the amplitude around pi phase
-steps so the transitions do not splatter clicks into the audible band.
+Both share one complex-baseband symbol core: cos(w*(i*spb + j) + phi_i) =
+Re(a_i * exp(j*w*j)) with a_i = A*exp(j*(w*i*spb + phi_i)), tapered around
+phase steps so the transitions do not splatter clicks into the audible band.
+Receivers correlate each symbol with the same template into z_i.  BPSK keys
+the absolute phase (0 or pi) and decides on Re(z_i) against a delay-aligned
+reference; DPSK keys phase *changes* and decides on Re(z_i * conj(z_{i-1})).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +73,7 @@ class PskConfig:
 
     @property
     def carrier_cycles_per_bit(self) -> float:
-        """Carrier cycles per bit period; integer values keep the delayed
-        reference phase-aligned in DPSK demodulation."""
+        """Carrier cycles per bit period."""
         return self.carrier_hz * self.samples_per_bit / self.sample_rate_hz
 
 
@@ -82,8 +83,9 @@ class DemodTrace:
 
     ``per_bit_correlation`` holds the normalized correlator outputs (clean
     channels give values near +-1), ``per_bit_phase_estimate`` the estimated
-    symbol phase in radians, ``decisions`` the hard bits and ``erasures`` a
-    low-confidence flag per bit (the decision is still emitted).
+    phase in [0, 2*pi) radians (BPSK: the symbol phase; DPSK: the phase step
+    from the previous symbol), ``decisions`` the hard bits and ``erasures``
+    a low-confidence flag per bit (the decision is still emitted).
     """
 
     per_bit_correlation: np.ndarray
@@ -106,9 +108,57 @@ def bipolar(bits) -> np.ndarray:
     return 2.0 * _as_bits(bits) - 1.0
 
 
-def _carrier(config: PskConfig, num_samples: int) -> np.ndarray:
-    k = np.arange(num_samples)
-    return np.cos(2.0 * np.pi * config.carrier_hz * k / config.sample_rate_hz)
+def _carrier_basis(config: PskConfig, num_symbols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start phasors exp(j*w*i*spb) of ``num_symbols`` symbols and the
+    one-symbol template [cos(w*j), sin(w*j)] of shape (spb, 2)."""
+    spb, fs = config.samples_per_bit, config.sample_rate_hz
+    k = np.concatenate([np.arange(spb), np.arange(num_symbols) * spb])
+    # fc*k is reduced mod fs first so late symbols keep an exact angle
+    phase = 2.0 * np.pi * np.mod(config.carrier_hz * k, fs) / fs
+    t = phase[:spb]
+    return np.exp(1j * phase[spb:]), np.stack([np.cos(t), np.sin(t)], axis=1)
+
+
+def _dip(r: int) -> np.ndarray:
+    """Raised-cosine dip over the 2*r samples around a boundary; sample b+j
+    sits |j+0.5| from it, so every dip is the same."""
+    return 0.5 * (1.0 - np.cos(np.pi * np.abs(np.arange(-r, r) + 0.5) / r))
+
+
+def _synthesize(phases: np.ndarray, config: PskConfig) -> AudioSignal:
+    """Carrier keyed to one phase per symbol, tapered where the phase steps."""
+    spb, r = config.samples_per_bit, config.ramp_samples
+    starts, template = _carrier_basis(config, phases.size)
+    a = config.amplitude * starts * np.exp(1j * phases)
+    symbols = np.stack([a.real, -a.imag], axis=1) @ template.T
+    if r > 0:
+        stepped = np.flatnonzero(np.diff(phases)) + 1
+        dip = _dip(r)
+        symbols[stepped, :r] *= dip[r:]
+        symbols[stepped - 1, spb - r :] *= dip[:r]
+    return AudioSignal(symbols.ravel(), config.sample_rate_hz)
+
+
+def _symbol_correlations(
+    received: AudioSignal, config: PskConfig, offset: int, min_symbols: int, skip: int
+) -> np.ndarray:
+    """z_i = sum_j x[i, j]*w[j]*exp(-j*w_c*(i*spb + j)) over the whole symbols
+    from sample ``offset`` on; w zeroes ``skip`` samples at both symbol ends."""
+    if received.channel_count != 1:
+        received = received.mixdown()
+    spb = config.samples_per_bit
+    if offset < 0:
+        raise ConfigurationError(f"sample offset must be >= 0, got {offset}")
+    if received.num_samples < offset + min_symbols * spb:
+        raise InsufficientDataError(
+            f"need at least offset+{min_symbols * spb} samples, have {received.num_samples}"
+        )
+    num_symbols = (received.num_samples - offset) // spb
+    x = received.samples[offset : offset + num_symbols * spb].reshape(num_symbols, spb)
+    starts, template = _carrier_basis(config, num_symbols)
+    j = np.arange(spb)[:, None]
+    arms = x @ (template * [1.0, -1.0] * ((j >= skip) & (j < spb - skip)))
+    return (arms[:, 0] + 1j * arms[:, 1]) * np.conj(starts)
 
 
 def apply_transition_ramp(signal: AudioSignal, boundaries, config: PskConfig) -> AudioSignal:
@@ -132,30 +182,20 @@ def apply_transition_ramp(signal: AudioSignal, boundaries, config: PskConfig) ->
         raise ConfigurationError("boundaries must lie within the signal")
     if (np.diff(boundaries) < 2 * r).any():
         raise ConfigurationError("ramp windows overlap; reduce ramp_fraction or spread boundaries")
-    # sample b+j sits |j+0.5| from the boundary, so every dip is the same
-    offsets = np.arange(-r, r)
-    dip = 0.5 * (1.0 - np.cos(np.pi * np.abs(offsets + 0.5) / r))
-    k = boundaries[:, None] + offsets
+    k = boundaries[:, None] + np.arange(-r, r)
     inside = (k >= 0) & (k < n)
     envelope = np.ones(n)
-    envelope[k[inside]] = np.broadcast_to(dip, k.shape)[inside]
+    envelope[k[inside]] = np.broadcast_to(_dip(r), k.shape)[inside]
     return AudioSignal(signal.samples * envelope, signal.sample_rate_hz)
 
 
 def bpsk_modulate(bits, config: PskConfig = PskConfig()) -> AudioSignal:
-    """BPSK: multiply the bipolar bit waveform by the carrier.
+    """BPSK: key the carrier phase to 0 for a one and pi for a zero.
 
     The carrier phase accumulates over a global time reference (no per-bit
     reset); amplitude ramps are applied where the modulating sign flips.
     """
-    bits = _as_bits(bits)
-    spb = config.samples_per_bit
-    m = np.repeat(bipolar(bits), spb)
-    samples = config.amplitude * m * _carrier(config, bits.size * spb)
-    flips = np.flatnonzero(np.diff(bits) != 0) + 1
-    return apply_transition_ramp(
-        AudioSignal(samples, config.sample_rate_hz), flips * spb, config
-    )
+    return _synthesize(np.pi * (1 - _as_bits(bits)), config)
 
 
 def bpsk_demodulate_coherent(
@@ -163,31 +203,14 @@ def bpsk_demodulate_coherent(
 ) -> DemodTrace:
     """Coherent BPSK demodulation against a delay-aligned carrier reference.
 
-    Each bit period is correlated with cos(2*pi*fc*t); the normalized
-    correlation y is ~+1 for a logical one and ~-1 for a logical zero on a
+    Each bit period is correlated with exp(-j*2*pi*fc*t); the normalized
+    in-phase arm y is ~+1 for a logical one and ~-1 for a logical zero on a
     clean channel.  y == 0 exactly emits a zero with an erasure flag.
     """
-    if received.channel_count != 1:
-        received = received.mixdown()
-    spb = config.samples_per_bit
-    if delay_samples < 0:
-        raise ConfigurationError(f"delay_samples must be >= 0, got {delay_samples}")
-    if received.num_samples < delay_samples + spb:
-        raise InsufficientDataError(
-            f"need at least delay+{spb} samples, have {received.num_samples}"
-        )
-    x = received.samples[delay_samples:]
-    num_bits = x.size // spb
-    x = x[: num_bits * spb].reshape(num_bits, spb)
-    k = np.arange(num_bits * spb).reshape(num_bits, spb)
-    phase = 2.0 * np.pi * config.carrier_hz * k / config.sample_rate_hz
-    scale = 2.0 / (config.amplitude * spb)
-    i_arm = scale * (x * np.cos(phase)).sum(axis=1)
-    q_arm = -scale * (x * np.sin(phase)).sum(axis=1)
-    decisions = (i_arm > 0).astype(np.int64)
-    erasures = i_arm == 0.0
-    phase_est = np.arctan2(q_arm, i_arm) % (2.0 * np.pi)
-    return DemodTrace(i_arm, phase_est, decisions, erasures)
+    z = _symbol_correlations(received, config, delay_samples, 1, 0)
+    z *= 2.0 / (config.amplitude * config.samples_per_bit)
+    decisions = (z.real > 0).astype(np.int64)
+    return DemodTrace(z.real, np.angle(z) % (2.0 * np.pi), decisions, z.real == 0.0)
 
 
 def correlate_delay(received: AudioSignal, template: AudioSignal, max_delay_samples: int) -> int:
@@ -270,18 +293,7 @@ def dpsk_modulate(bits, config: PskConfig = PskConfig()) -> AudioSignal:
     The carrier runs on a global time reference with the per-symbol phase
     offsets from :func:`dpsk_encode`; boundaries with a pi step are tapered.
     """
-    bits = _as_bits(bits)
-    spb = config.samples_per_bit
-    phases = dpsk_encode(bits)
-    offset = np.repeat(phases, spb)
-    k = np.arange(phases.size * spb)
-    samples = config.amplitude * np.cos(
-        2.0 * np.pi * config.carrier_hz * k / config.sample_rate_hz + offset
-    )
-    stepped = np.flatnonzero(bits == 1) + 1  # symbol index whose start phase alternates
-    return apply_transition_ramp(
-        AudioSignal(samples, config.sample_rate_hz), stepped * spb, config
-    )
+    return _synthesize(dpsk_encode(_as_bits(bits)), config)
 
 
 def dpsk_demodulate(
@@ -290,37 +302,24 @@ def dpsk_demodulate(
     start_offset_samples: int = 0,
     erasure_floor: float = 0.1,
 ) -> DemodTrace:
-    """Delay-and-multiply DPSK demodulation.
+    """Differential detection on per-symbol correlator outputs.
 
-    Multiplies the signal by itself delayed one symbol period and integrates
-    over each data symbol; the normalized integral approximates cos(theta)
-    where theta is the phase step (so y < 0 decodes a logical one).  Samples
-    inside the transition-ramp windows are excluded from the integral and the
-    normalizer is adjusted accordingly.  Bits whose gain-normalized |y| falls
-    below ``erasure_floor`` are flagged as erasures (decision still emitted).
+    Each symbol is correlated with the carrier into z_i, leaving out the
+    transition-ramp windows.  Bit i reads the phase step theta between
+    symbols i and i+1 from z_{i+1} * conj(z_i): its real part y, normalized
+    so a clean channel gives cos(theta) (y < 0 decodes a logical one), and
+    its angle mod 2*pi.  Bits whose |y| falls below ``erasure_floor`` (>= 0)
+    times the mean |y| are flagged as erasures (decision still emitted).
     """
-    if received.channel_count != 1:
-        received = received.mixdown()
-    spb = config.samples_per_bit
-    if start_offset_samples < 0:
-        raise ConfigurationError(f"start_offset_samples must be >= 0, got {start_offset_samples}")
-    if received.num_samples < start_offset_samples + 2 * spb:
-        raise InsufficientDataError(
-            f"need at least start_offset+{2 * spb} samples, have {received.num_samples}"
-        )
-    x = received.samples[start_offset_samples:]
-    num_symbols = x.size // spb
-    num_bits = num_symbols - 1
-    x = x[: num_symbols * spb]
-    product = x[spb:] * x[:-spb]
+    if not 0.0 <= erasure_floor < math.inf:  # written so that NaN fails too
+        raise ConfigurationError(f"erasure_floor must be >= 0 and finite, got {erasure_floor}")
     r = config.ramp_samples
-    keep = slice(r, spb - r) if r > 0 else slice(None)
-    effective = spb - 2 * r
-    scale = 2.0 / (config.amplitude**2 * effective)
-    y = scale * product.reshape(num_bits, spb)[:, keep].sum(axis=1)
+    z = _symbol_correlations(received, config, start_offset_samples, 2, r)
+    z *= 2.0 / (config.amplitude * (config.samples_per_bit - 2 * r))
+    steps = z[1:] * np.conj(z[:-1])
+    y = steps.real
     decisions = (y < 0).astype(np.int64)
     mean_mag = float(np.abs(y).mean())
     normalized = np.abs(y) / mean_mag if mean_mag > 0 else np.zeros_like(y)
     erasures = normalized < erasure_floor
-    phase_est = np.arccos(np.clip(y, -1.0, 1.0))
-    return DemodTrace(y, phase_est, decisions, erasures)
+    return DemodTrace(y, np.angle(steps) % (2.0 * np.pi), decisions, erasures)

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's fast paths: the spectrum oracle is a
 direct O(N^2) DFT, the phase oracle is plain quadrature correlation, the
-correlation oracle takes one dot product per delay and the ramp oracle loops
-over boundaries, so they can vouch for the fast implementations.
+correlation oracle takes one dot product per delay, the ramp oracle loops
+over boundaries and the PSK oracles evaluate the carrier at every sample, so
+they can vouch for the fast implementations.
 """
 
 import numpy as np
@@ -87,3 +88,39 @@ def loop_ramp_envelope(num_samples: int, boundaries, ramp_samples: int) -> np.nd
         dist = np.minimum(np.abs(k + 0.5 - b), r)
         envelope[lo:hi] *= 0.5 * (1.0 - np.cos(np.pi * dist / r))
     return envelope
+
+
+def direct_form_psk(phases, sample_rate_hz, carrier_hz, samples_per_symbol, amplitude, ramp_samples):
+    """A*cos(2*pi*fc*k/fs + phi_i) at every sample k of symbol i, tapered by
+    :func:`loop_ramp_envelope` at each symbol boundary where the phase steps."""
+    spb = samples_per_symbol
+    k = np.arange(len(phases) * spb)
+    samples = amplitude * np.cos(
+        2.0 * np.pi * carrier_hz * k / sample_rate_hz + np.repeat(phases, spb)
+    )
+    boundaries = [i * spb for i in range(1, len(phases)) if phases[i] != phases[i - 1]]
+    if ramp_samples and boundaries:
+        samples *= loop_ramp_envelope(samples.size, boundaries, ramp_samples)
+    return samples
+
+
+def direct_quadrature_arms(samples, sample_rate_hz, carrier_hz, samples_per_symbol, amplitude):
+    """Normalized in-phase and quadrature arms of each whole symbol, against
+    cos and sin of a carrier phase computed at every sample."""
+    spb = samples_per_symbol
+    n = samples.size // spb
+    x = samples[: n * spb].reshape(n, spb)
+    phase = 2.0 * np.pi * carrier_hz * np.arange(n * spb).reshape(n, spb) / sample_rate_hz
+    scale = 2.0 / (amplitude * spb)
+    return scale * (x * np.cos(phase)).sum(axis=1), -scale * (x * np.sin(phase)).sum(axis=1)
+
+
+def loop_symbol_correlations(samples, sample_rate_hz, carrier_hz, samples_per_symbol, skip):
+    """z_i = sum of x[k] * exp(-j*2*pi*fc*k/fs) over symbol i, one symbol at a
+    time, leaving out ``skip`` samples at both ends of each symbol."""
+    spb = samples_per_symbol
+    z = np.empty(samples.size // spb, dtype=complex)
+    for i in range(z.size):
+        k = np.arange(i * spb + skip, (i + 1) * spb - skip)
+        z[i] = (samples[k] * np.exp(-2j * np.pi * carrier_hz * k / sample_rate_hz)).sum()
+    return z

@@ -25,9 +25,17 @@ from airmodem import (
     estimate_delay,
 )
 from airmodem.channel import ChannelSpec, NoiseSpec, apply_channel
+from airmodem.evaluate import run_trial
 from airmodem.psk import DEFAULT_HEADER_BITS
 
-from oracles import loop_ramp_envelope, measure_symbol_phases, naive_ncc
+from oracles import (
+    direct_form_psk,
+    direct_quadrature_arms,
+    loop_ramp_envelope,
+    loop_symbol_correlations,
+    measure_symbol_phases,
+    naive_ncc,
+)
 
 RNG_SEED = 1234
 
@@ -542,7 +550,7 @@ class TestDpskDemodulate:
         np.testing.assert_array_equal(flipped, [5])
 
     def test_double_frequency_term_suppressed(self):
-        # the delay-and-multiply product carries a 2*fc ripple; integrating a
+        # mixing a symbol down to baseband leaves a 2*fc ripple; integrating a
         # bit period must suppress it at least 40 dB below the DC term
         cfg = PskConfig()
         spb, r = cfg.samples_per_bit, cfg.ramp_samples
@@ -574,6 +582,25 @@ class TestDpskDemodulate:
         with pytest.raises(InsufficientDataError):
             dpsk_demodulate(AudioSignal(np.zeros(900), 96000), cfg)
 
+    @pytest.mark.parametrize("floor", [math.nan, -0.1, math.inf])
+    def test_erasure_floor_must_be_non_negative_and_finite(self, floor):
+        cfg = PskConfig()
+        with pytest.raises(ConfigurationError):
+            dpsk_demodulate(dpsk_modulate([1, 0, 1], cfg), cfg, erasure_floor=floor)
+
+    def test_non_integer_cycles_per_bit_scores_like_integer(self):
+        # at 44.1 kHz a 200 bps bit holds 95.78 carrier cycles; 96 kHz holds 96
+        def mean_btsr(rate):
+            noise = NoiseSpec("white", 20.0, 19200.0)
+            config = PskConfig(sample_rate_hz=rate)
+            return np.mean([
+                run_trial("dpsk", 200, ChannelSpec(1234, noise=noise, seed=seed), config).btsr
+                for seed in range(10)
+            ])
+
+        assert PskConfig(sample_rate_hz=44100).carrier_cycles_per_bit % 1 > 0.5
+        assert mean_btsr(44100) >= mean_btsr(96000) - 0.01
+
     def test_trace_lengths_consistent(self):
         cfg = PskConfig()
         trace = dpsk_demodulate(dpsk_modulate([1, 0, 1, 1], cfg), cfg)
@@ -585,3 +612,92 @@ class TestDpskDemodulate:
             == n
             == 4
         )
+
+
+ACCEPTED_RATES = [
+    (rate, bit_rate)
+    for rate in (44100, 48000, 96000)
+    for bit_rate in (200, 400, 1000, 2000, 3000, 5000, 6000, 12000)
+    if round(rate / bit_rate) >= 8  # what PskConfig accepts
+]
+
+
+@pytest.mark.parametrize("scheme", ["dpsk", "bpsk"])
+@pytest.mark.parametrize("rate,bit_rate", ACCEPTED_RATES)
+def test_noiseless_trial_exact_at_every_accepted_rate(scheme, rate, bit_rate):
+    config = PskConfig(sample_rate_hz=rate, bit_rate_bps=bit_rate)
+    report = run_trial(scheme, 50, ChannelSpec(delay_samples=777, seed=3), config)
+    assert report.btsr == 1.0, config.carrier_cycles_per_bit
+
+
+# every sample rate at 200 bps and at the minimum of 8 samples per bit
+ORACLE_CONFIGS = [
+    (rate, bit_rate, fraction)
+    for rate in (96000, 48000, 44100)
+    for bit_rate, fraction in (
+        (200, 0.0), (200, 0.125), (200, 0.45), (rate / 8, 0.0), (rate / 8, 0.125)
+    )
+]
+PATTERNS = {
+    "zeros": [0] * 24,
+    "ones": [1] * 24,
+    "alternating": [1, 0] * 12,
+    "random": list(np.random.default_rng(RNG_SEED).integers(0, 2, 300)),
+}
+
+
+class TestSymbolCoreOracles:
+    """The per-symbol synthesis and correlators against sample-by-sample forms."""
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("rate,bit_rate,fraction", ORACLE_CONFIGS)
+    def test_modulators_match_direct_form(self, rate, bit_rate, fraction, pattern):
+        cfg = PskConfig(sample_rate_hz=rate, bit_rate_bps=bit_rate, ramp_fraction=fraction)
+        bits = np.asarray(PATTERNS[pattern])
+        for modulate, phases in (
+            (bpsk_modulate, np.pi * (1 - bits)),
+            (dpsk_modulate, dpsk_encode(bits)),
+        ):
+            expected = direct_form_psk(
+                phases, rate, cfg.carrier_hz, cfg.samples_per_bit, cfg.amplitude, cfg.ramp_samples
+            )
+            actual = modulate(bits, cfg).samples
+            np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-9, err_msg=modulate.__name__)
+
+    @staticmethod
+    def _capture(modulate, cfg, seed):
+        bits = np.random.default_rng(seed).integers(0, 2, 120)
+        delay = 311 * seed + 17
+        noise = NoiseSpec("white", (0.0, 10.0, 20.0)[seed % 3], cfg.carrier_hz)
+        spec = ChannelSpec(delay_samples=delay, noise=noise, seed=seed)
+        return apply_channel(modulate(bits, cfg), spec).signal, delay
+
+    @staticmethod
+    def _assert_same_angle(actual, expected):
+        assert np.abs(np.angle(np.exp(1j * (actual - expected)))).max() < 1e-9
+
+    @pytest.mark.parametrize("rate", [96000, 48000, 44100])
+    def test_bpsk_arms_match_direct_form(self, rate):
+        cfg = PskConfig(sample_rate_hz=rate)
+        for seed in range(3):
+            received, delay = self._capture(bpsk_modulate, cfg, seed)
+            trace = bpsk_demodulate_coherent(received, cfg, delay)
+            i_arm, q_arm = direct_quadrature_arms(
+                received.samples[delay:], rate, cfg.carrier_hz, cfg.samples_per_bit, cfg.amplitude
+            )
+            np.testing.assert_allclose(trace.per_bit_correlation, i_arm, rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(trace.decisions, (i_arm > 0).astype(int))
+            self._assert_same_angle(trace.per_bit_phase_estimate, np.arctan2(q_arm, i_arm))
+
+    @pytest.mark.parametrize("rate", [96000, 48000, 44100])
+    def test_dpsk_matches_loop_correlations(self, rate):
+        cfg = PskConfig(sample_rate_hz=rate)
+        spb, r = cfg.samples_per_bit, cfg.ramp_samples
+        for seed in range(3):
+            received, delay = self._capture(dpsk_modulate, cfg, seed)
+            trace = dpsk_demodulate(received, cfg, delay)
+            z = loop_symbol_correlations(received.samples[delay:], rate, cfg.carrier_hz, spb, r)
+            steps = z[1:] * np.conj(z[:-1]) * (2.0 / (cfg.amplitude * (spb - 2 * r))) ** 2
+            np.testing.assert_allclose(trace.per_bit_correlation, steps.real, rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(trace.decisions, (steps.real < 0).astype(int))
+            self._assert_same_angle(trace.per_bit_phase_estimate, np.angle(steps))
