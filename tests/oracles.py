@@ -90,7 +90,9 @@ def loop_ramp_envelope(num_samples: int, boundaries, ramp_samples: int) -> np.nd
     return envelope
 
 
-def direct_form_psk(phases, sample_rate_hz, carrier_hz, samples_per_symbol, amplitude, ramp_samples):
+def direct_form_psk(
+    phases, sample_rate_hz, carrier_hz, samples_per_symbol, amplitude, ramp_samples
+):
     """A*cos(2*pi*fc*k/fs + phi_i) at every sample k of symbol i, tapered by
     :func:`loop_ramp_envelope` at each symbol boundary where the phase steps."""
     spb = samples_per_symbol

@@ -662,7 +662,9 @@ class TestSymbolCoreOracles:
                 phases, rate, cfg.carrier_hz, cfg.samples_per_bit, cfg.amplitude, cfg.ramp_samples
             )
             actual = modulate(bits, cfg).samples
-            np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-9, err_msg=modulate.__name__)
+            np.testing.assert_allclose(
+                actual, expected, rtol=0, atol=1e-9, err_msg=modulate.__name__
+            )
 
     @staticmethod
     def _capture(modulate, cfg, seed):
