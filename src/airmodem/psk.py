@@ -207,7 +207,7 @@ def bpsk_demodulate_coherent(
     in-phase arm y is ~+1 for a logical one and ~-1 for a logical zero on a
     clean channel.  y == 0 exactly emits a zero with an erasure flag.
     """
-    z = _symbol_correlations(received, config, delay_samples, 1, 0)
+    z = _symbol_correlations(received, config, delay_samples, min_symbols=1, skip=0)
     z *= 2.0 / (config.amplitude * config.samples_per_bit)
     decisions = (z.real > 0).astype(np.int64)
     return DemodTrace(z.real, np.angle(z) % (2.0 * np.pi), decisions, z.real == 0.0)
@@ -314,7 +314,7 @@ def dpsk_demodulate(
     if not 0.0 <= erasure_floor < math.inf:  # written so that NaN fails too
         raise ConfigurationError(f"erasure_floor must be >= 0 and finite, got {erasure_floor}")
     r = config.ramp_samples
-    z = _symbol_correlations(received, config, start_offset_samples, 2, r)
+    z = _symbol_correlations(received, config, start_offset_samples, min_symbols=2, skip=r)
     z *= 2.0 / (config.amplitude * (config.samples_per_bit - 2 * r))
     steps = z[1:] * np.conj(z[:-1])
     y = steps.real
