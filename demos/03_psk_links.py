@@ -35,13 +35,9 @@ print(f"payload: {''.join(map(str, payload))}")
 header = np.array(DEFAULT_HEADER_BITS)
 tx_bits = np.concatenate([header, payload])
 bpsk_tx = bpsk_modulate(tx_bits, config)
-# keep recording a moment after the burst so the search window fits
-bpsk_padded = AudioSignal(
-    np.concatenate([bpsk_tx.samples, np.zeros(4800)]), config.sample_rate_hz
-)
 
 channel = ChannelSpec(delay_samples=733, noise=NoiseSpec("white", 18.0, config.carrier_hz), seed=9)
-received = apply_channel(bpsk_padded, channel).signal
+received = apply_channel(bpsk_tx, channel).signal
 
 delay = estimate_delay(received, header, config, max_delay_samples=2000)
 print(f"\nBPSK: true delay 733, estimated {delay}")

@@ -64,6 +64,16 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, type=kind, default=None, help=f"override {field}")
 
 
+def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
+    """The payload and channel flags that simulate and sweep share."""
+    parser.add_argument("--bits", type=int, default=800)
+    parser.add_argument("--snr-db", type=float, default=None)
+    parser.add_argument("--noise-kind", choices=NOISE_KINDS, default=None)
+    parser.add_argument("--delay", type=int, default=0)
+    parser.add_argument("--gain", type=float, default=1.0)
+    parser.add_argument("--seed", type=int, default=0)
+
+
 def _build_config(args, sample_rate_hz: int | None = None):
     """The scheme's table entry and its config, with the flags' overrides."""
     scheme = evaluate._SCHEMES[args.scheme]
@@ -103,10 +113,9 @@ def _cmd_decode(args) -> int:
         )
     scheme, config = _build_config(args, sample_rate_hz=spec.sample_rate_hz)
     header = parse_payload(args.header_bits)
-    offset, skip = args.offset, 0
-    if args.sync == "header" and scheme.header_sync:
-        offset, skip = scheme.header_offset(signal, header, config, args.max_delay), header.size
-    bits, _erasures, trace = scheme.demodulate(signal, config, offset, skip)
+    if args.sync != "header" or not scheme.header_sync:
+        header = header[:0]
+    bits, _erasures, trace = scheme.receive(signal, config, args.offset, header, args.max_delay)
     print(_bits_to_string(bits))
     if args.trace and args.scheme == "fsk":
         print("frame,data0,data1,clock0,clock1,noise_floor,active")
@@ -176,10 +185,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_spectrum(args) -> int:
     signal, _spec = wavfile.read_wav(args.infile)
     mono = signal.mixdown()
-    if mono.num_samples < args.fft_size:
-        raise InsufficientDataError(
-            f"file has {mono.num_samples} samples, need at least fft_size={args.fft_size}"
-        )
     mean_power = framed_power(mono.samples, args.fft_size, args.window).mean(axis=0)
     freqs = np.fft.rfftfreq(args.fft_size, 1.0 / mono.sample_rate_hz)
     print("freq_hz,power")
@@ -219,12 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="one seeded modulate/channel/demodulate trial")
     simulate.add_argument("scheme", choices=evaluate.SCHEMES)
-    simulate.add_argument("--bits", type=int, default=800)
-    simulate.add_argument("--snr-db", type=float, default=None)
-    simulate.add_argument("--noise-kind", choices=NOISE_KINDS, default=None)
-    simulate.add_argument("--delay", type=int, default=0)
-    simulate.add_argument("--gain", type=float, default=1.0)
-    simulate.add_argument("--seed", type=int, default=0)
+    _add_trial_flags(simulate)
     simulate.add_argument("--sync", choices=evaluate.SYNC_MODES, default="known_delay")
     simulate.add_argument("--max-delay", type=int, default=4800)
     _add_config_flags(simulate)
@@ -235,12 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--axis", choices=("snr", "bitrate"), required=True)
     sweep.add_argument("--values", required=True, help="comma-separated axis values")
     sweep.add_argument("--trials", type=int, default=10)
-    sweep.add_argument("--bits", type=int, default=800)
-    sweep.add_argument("--snr-db", type=float, default=None)
-    sweep.add_argument("--noise-kind", choices=NOISE_KINDS, default=None)
-    sweep.add_argument("--delay", type=int, default=0)
-    sweep.add_argument("--gain", type=float, default=1.0)
-    sweep.add_argument("--seed", type=int, default=0)
+    _add_trial_flags(sweep)
     sweep.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     _add_config_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)

@@ -33,17 +33,14 @@ class _Scheme:
 
     config_class: type
     modulate: Callable  # (bits, config) -> AudioSignal
-    # (signal, config, offset, skip) -> (bits after the first skip, erasure count, raw trace)
-    demodulate: Callable
+    # (signal, config, offset, header_bits, max_delay_samples)
+    #   -> (payload bits, erasure count, raw trace)
+    receive: Callable
     noise_carrier_hz: Callable  # config -> the carrier the channel calibrates SNR at
     header_sync: bool = True  # False for FSK, which is self-clocked
 
-    def header_offset(self, signal, header_bits, config, max_delay_samples: int) -> int:
-        """Start of the known header in ``signal``, found by correlation."""
-        return _psk.correlate_delay(signal, self.modulate(header_bits, config), max_delay_samples)
 
-
-def _demodulate_fsk(signal, config, offset, skip):
+def _receive_fsk(signal, config, offset, header_bits, max_delay_samples):
     # self-clocked: there is no start offset to honour and no header to skip
     result = _fsk.fsk_demodulate(signal, config)
     return result.bits, len(result.erasure_frame_indices), result
@@ -52,12 +49,16 @@ def _demodulate_fsk(signal, config, offset, skip):
 def _psk_scheme(modulate: str, demodulate: str) -> _Scheme:
     """A PSK entry; ``modulate`` and ``demodulate`` name functions in psk."""
 
-    def receive(signal, config, offset, skip):
-        trace = getattr(_psk, demodulate)(signal, config, offset)
-        return trace.decisions[skip:], int(np.count_nonzero(trace.erasures[skip:])), trace
-
     def send(bits, config):
         return getattr(_psk, modulate)(bits, config)
+
+    def receive(signal, config, offset, header_bits, max_delay_samples):
+        # a non-empty header overrides ``offset`` and is dropped from the decisions
+        skip = len(header_bits)
+        if skip:
+            offset = _psk.correlate_delay(signal, send(header_bits, config), max_delay_samples)
+        trace = getattr(_psk, demodulate)(signal, config, offset)
+        return trace.decisions[skip:], int(np.count_nonzero(trace.erasures[skip:])), trace
 
     return _Scheme(_psk.PskConfig, send, receive, lambda config: config.carrier_hz)
 
@@ -66,7 +67,7 @@ _SCHEMES = {
     "fsk": _Scheme(
         _fsk.FskConfig,
         lambda bits, config: _fsk.fsk_modulate(bits, config),
-        _demodulate_fsk,
+        _receive_fsk,
         lambda config: config.data_freq1_hz,
         header_sync=False,
     ),
@@ -173,10 +174,9 @@ def run_trial(
     out = apply_channel(entry.modulate(np.concatenate([header, payload]), config), channel)
     received, erasure_count = np.array([], dtype=np.int64), 0
     try:
-        offset = channel.delay_samples
-        if use_header:
-            offset = entry.header_offset(out.signal, header, config, max_delay_samples)
-        received, erasure_count, _trace = entry.demodulate(out.signal, config, offset, header.size)
+        received, erasure_count, _trace = entry.receive(
+            out.signal, config, channel.delay_samples, header, max_delay_samples
+        )
     except (NoClockError, SyncNotFoundError, InsufficientDataError):
         pass
     btsr = compute_btsr(payload, received)

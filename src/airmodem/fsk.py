@@ -12,10 +12,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientDataError, NoClockError
+from .errors import ConfigurationError, NoClockError
 from .signals import (
     AudioSignal,
     Spectrum,
+    _as_bits,
     band_power,
     framed_power,
     generate_tone,
@@ -126,23 +127,13 @@ def fsk_modulate(bits, config: FskConfig = FskConfig()) -> AudioSignal:
     channel: clock_freq1 on even-indexed periods, clock_freq0 on odd.  Each
     tone segment starts at phase 0 and spans one bit period.
     """
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 1 or bits.size == 0:
-        raise ConfigurationError("bits must be a non-empty 1-D sequence")
-    if not np.isin(bits, (0, 1)).all():
-        raise ConfigurationError("bits must contain only 0 and 1")
-    spb = config.samples_per_bit
-    freqs = config.carrier_freqs_hz
-
-    def tone(freq: float) -> np.ndarray:
-        return generate_tone(freq, spb, config.sample_rate_hz, config.amplitude).samples
-
-    segments = {name: tone(freq) for name, freq in freqs.items()}
-    left = np.concatenate([segments["data1" if b else "data0"] for b in bits])
-    right = np.concatenate(
-        [segments["clock1" if i % 2 == 0 else "clock0"] for i in range(bits.size)]
-    )
-    return AudioSignal(np.stack([left, right]), config.sample_rate_hz)
+    bits = _as_bits(bits)
+    spb, fs = config.samples_per_bit, config.sample_rate_hz
+    # one bit period of each carrier, rows in CARRIER_NAMES order
+    freqs = config.carrier_freqs_hz.values()
+    tones = np.stack([generate_tone(f, spb, fs, config.amplitude).samples for f in freqs])
+    clock = 3 - np.arange(bits.size) % 2  # clock1 on even periods, clock0 on odd
+    return AudioSignal(np.stack([tones[bits].ravel(), tones[clock].ravel()]), fs)
 
 
 def _detect(spectrum: Spectrum, config: FskConfig, first_frame_index: int) -> list:
@@ -176,10 +167,6 @@ def detect_carriers(
     frame: AudioSignal, config: FskConfig = FskConfig(), frame_index: int = 0
 ) -> CarrierDetection:
     """Detect active carriers in the first fft_size samples of a mono frame."""
-    if frame.num_samples < config.fft_size:
-        raise InsufficientDataError(
-            f"frame has {frame.num_samples} samples, need fft_size={config.fft_size}"
-        )
     spectrum = power_spectrum(frame, config.fft_size)
     return detect_carriers_in_spectrum(spectrum, config, frame_index)
 
@@ -187,15 +174,14 @@ def detect_carriers(
 def fsk_demodulate(signal: AudioSignal, config: FskConfig = FskConfig()) -> FskDemodResult:
     """Recover bits by sliding non-overlapping FFT frames across the signal.
 
-    Stereo input is summed to mono first (a single microphone hears both
+    Stereo input is averaged to mono first (a single microphone hears both
     speaker channels).  A frame whose single active clock carrier differs
     from the last unambiguous clock state marks a transition and samples the
     data carrier in that same frame; frames with zero or two active data
     carriers at a transition emit no bit and are flagged as erasures.
     """
-    x = signal.samples.sum(axis=0) if signal.channel_count == 2 else signal.samples
     freqs = np.fft.rfftfreq(config.fft_size, 1.0 / signal.sample_rate_hz)
-    power = framed_power(x, config.fft_size)
+    power = framed_power(signal.mixdown().samples, config.fft_size)
     detections = _detect(Spectrum(freqs, power, config.fft_size, signal.sample_rate_hz), config, 0)
     bits = []
     erasures = []

@@ -19,7 +19,7 @@ from .errors import (
     NyquistViolationError,
     SyncNotFoundError,
 )
-from .signals import AudioSignal
+from .signals import AudioSignal, _as_bits
 
 DEFAULT_HEADER_BITS = (1, 0) * 8  # alternating sync pattern, 16 bits
 
@@ -94,15 +94,6 @@ class DemodTrace:
     erasures: np.ndarray
 
 
-def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ConfigurationError("bits must be a non-empty 1-D sequence")
-    if not np.isin(arr, (0, 1)).all():
-        raise ConfigurationError("bits must contain only 0 and 1")
-    return arr
-
-
 def bipolar(bits) -> np.ndarray:
     """Map logical bits to the bipolar alphabet: 1 -> +1.0, 0 -> -1.0."""
     return 2.0 * _as_bits(bits) - 1.0
@@ -144,8 +135,7 @@ def _symbol_correlations(
 ) -> np.ndarray:
     """z_i = sum_j x[i, j]*w[j]*exp(-j*w_c*(i*spb + j)) over the whole symbols
     from sample ``offset`` on; w zeroes ``skip`` samples at both symbol ends."""
-    if received.channel_count != 1:
-        received = received.mixdown()
+    received = received.mixdown()
     spb = config.samples_per_bit
     if offset < 0:
         raise ConfigurationError(f"sample offset must be >= 0, got {offset}")
@@ -215,27 +205,28 @@ def bpsk_demodulate_coherent(
 
 def correlate_delay(received: AudioSignal, template: AudioSignal, max_delay_samples: int) -> int:
     """Delay (in samples) maximizing the normalized cross-correlation of
-    ``template`` against ``received``, searched over [0, max_delay_samples].
+    ``template`` against ``received``, searched over the delays in
+    [0, max_delay_samples] at which the whole template fits in ``received``.
 
     The sliding dot products come from one FFT cross-correlation, so a
     one-second search window costs a few FFTs rather than a direct-form sum
     over every lag.  Ties break toward the smallest delay.  Raises
+    InsufficientDataError when ``received`` is shorter than the template, and
     SyncNotFoundError when the peak is not at least 3x the median off-peak
     correlation magnitude.
     """
-    if received.channel_count != 1:
-        received = received.mixdown()
+    received = received.mixdown()
     if template.channel_count != 1:
         raise ConfigurationError("template must be mono")
     if max_delay_samples < 0:
         raise ConfigurationError(f"max_delay_samples must be >= 0, got {max_delay_samples}")
     t = template.samples
     length = t.size
-    if received.num_samples < length + max_delay_samples:
+    if received.num_samples < length:
         raise InsufficientDataError(
-            f"need at least {length + max_delay_samples} received samples, "
-            f"have {received.num_samples}"
+            f"need at least {length} received samples, have {received.num_samples}"
         )
+    max_delay_samples = min(max_delay_samples, received.num_samples - length)
     seg = received.samples[: length + max_delay_samples]
     # next power of two >= seg.size, so no lag in [0, max_delay] wraps around
     n = 1 << (seg.size - 1).bit_length()
@@ -268,9 +259,9 @@ def estimate_delay(
     config: PskConfig = PskConfig(),
     max_delay_samples: int = 4800,
 ) -> int:
-    """Estimate the propagation delay of a known BPSK header by
-    normalized cross-correlation over candidate delays."""
-    template = bpsk_modulate(_as_bits(header_bits), config)
+    """Estimate the propagation delay of a known BPSK header by normalized
+    cross-correlation over the delays in [0, max_delay_samples] that fit."""
+    template = bpsk_modulate(header_bits, config)
     return correlate_delay(received, template, max_delay_samples)
 
 

@@ -100,6 +100,16 @@ class Spectrum:
         return int(round(freq_hz / self.bin_width_hz))
 
 
+def _as_bits(bits) -> np.ndarray:
+    """``bits`` as a non-empty 1-D int64 array of zeros and ones."""
+    arr = np.asarray(bits, dtype=np.int64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ConfigurationError("bits must be a non-empty 1-D sequence")
+    if not np.isin(arr, (0, 1)).all():
+        raise ConfigurationError("bits must contain only 0 and 1")
+    return arr
+
+
 def generate_tone(
     freq_hz: float,
     num_samples: int,
@@ -170,8 +180,6 @@ def power_spectrum(signal: AudioSignal, fft_size: int, window: str = "rectangula
     (unit tone on a bin -> 0.5); hann trades that for lower leakage and is
     meant for reporting spectra.
     """
-    if signal.channel_count != 1:
-        raise IncompatibleSignalError("power_spectrum expects a mono signal")
     power = framed_power(signal.samples[:fft_size], fft_size, window)[0]
     freqs = np.fft.rfftfreq(fft_size, 1.0 / signal.sample_rate_hz)
     return Spectrum(freqs, power, fft_size, signal.sample_rate_hz)

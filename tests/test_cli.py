@@ -117,6 +117,16 @@ class TestDecode:
         assert code == 2
         assert "mismatch" in err
 
+    @pytest.mark.parametrize("scheme", ["dpsk", "bpsk"])
+    def test_header_sync_on_short_encoded_burst(self, capsys, tmp_path, scheme):
+        # encode adds no header, so it leads the payload; the burst is shorter
+        # than header + --max-delay, so the search covers only the delays that fit
+        path = tmp_path / "short.wav"
+        assert run_cli(capsys, "encode", scheme, "0xAAAA33", str(path))[0] == 0
+        code, stdout, _ = run_cli(capsys, "decode", scheme, str(path), "--sync", "header")
+        assert code == 0
+        assert stdout == "00110011\n"
+
     def test_header_sync_recovers_delayed_stream(self, capsys, tmp_path):
         from airmodem import PskConfig, dpsk_modulate
 

@@ -99,6 +99,12 @@ class TestRunTrial:
         report = run_trial("bpsk", 100, ChannelSpec(delay_samples=137, seed=8), sync="header")
         assert report.btsr == 1.0
 
+    @pytest.mark.parametrize("scheme", ["bpsk", "dpsk"])
+    def test_header_sync_on_capture_shorter_than_search_window(self, scheme):
+        # 5 bits after a 10-sample delay end well before header + 4800 samples
+        report = run_trial(scheme, 5, ChannelSpec(delay_samples=10), sync="header")
+        assert report.btsr == 1.0
+
     def test_deterministic_given_seed(self):
         spec = ChannelSpec(noise=NoiseSpec("white", 10.0, 19200.0), seed=11)
         a = run_trial("dpsk", 200, spec)

@@ -213,6 +213,15 @@ class TestFskDemodulate:
         result = fsk_demodulate(mono, cfg)
         np.testing.assert_array_equal(result.bits, bits)
 
+    def test_stereo_reads_on_the_mixdown_scale(self):
+        # one mono rule for every receiver: the channel average, as mixdown() gives
+        cfg = FskConfig()
+        stereo = fsk_modulate(np.random.default_rng(RNG_SEED).integers(0, 2, 6), cfg)
+        assert stereo.channel_count == 2
+        a = fsk_demodulate(stereo, cfg).detections
+        b = fsk_demodulate(stereo.mixdown(), cfg).detections
+        assert a == b
+
     def test_output_never_longer_than_input(self):
         cfg = FskConfig()
         rng = np.random.default_rng(RNG_SEED)

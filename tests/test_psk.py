@@ -383,7 +383,9 @@ class TestCorrelateDelayOracle:
 
     @staticmethod
     def _check(received, template, max_delay):
-        oracle = naive_ncc(received.samples, template.samples, max_delay)
+        # only the delays at which the whole template fits are searched
+        fits = received.num_samples - template.num_samples
+        oracle = naive_ncc(received.samples, template.samples, min(max_delay, fits))
         assert correlate_delay(received, template, max_delay) == int(np.argmax(np.abs(oracle)))
 
     @pytest.mark.parametrize("scheme", ["bpsk", "dpsk"])
@@ -408,6 +410,8 @@ class TestCorrelateDelayOracle:
         # the last 2000 delays of the search see nothing but digital silence
         max_delay = received.num_samples - template.num_samples
         self._check(received, template, max_delay)
+        # a window reaching past the capture is cut to the delays that fit
+        self._check(received, template, max_delay + 2000)
 
     @pytest.mark.parametrize("scheme", ["bpsk", "dpsk"])
     @pytest.mark.parametrize("rate", [96000, 44100])
