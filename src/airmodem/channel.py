@@ -61,8 +61,8 @@ class ChannelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.delay_samples < 0:
-            raise ConfigurationError(f"delay_samples must be >= 0, got {self.delay_samples}")
+        if not isinstance(self.delay_samples, (int, np.integer)) or self.delay_samples < 0:
+            raise ConfigurationError(f"delay_samples must be an int >= 0, got {self.delay_samples}")
         if not 0 < self.gain < math.inf:
             raise ConfigurationError(f"gain must be > 0 and finite, got {self.gain}")
 
@@ -87,6 +87,18 @@ class ChannelResult:
         return self.clip_fraction > 0.01
 
 
+def _fft_length(n: int) -> int:
+    """Smallest even 2^a * 3^b * 5^c >= ``n``: a fast numpy FFT length with a Nyquist bin."""
+    best, p5 = 2 << (n - 1).bit_length(), 1  # twice the next power of two: an upper bound
+    while p5 < n:
+        p35 = p5
+        while p35 < n:  # p35 * 2^a with a >= 1 and ceil(n / p35) <= 2^a
+            best = min(best, p35 << max(1, (-(-n // p35) - 1).bit_length()))
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def synth_noise(kind: str, num_samples: int, sample_rate_hz: int, seed: int) -> AudioSignal:
     """Generate unit-RMS Gaussian noise with the named spectral shape.
 
@@ -96,22 +108,23 @@ def synth_noise(kind: str, num_samples: int, sample_rate_hz: int, seed: int) -> 
     across the band.  Scale is left to the caller (channel calibration).
 
     White noise is ``num_samples`` standard normals divided by their RMS.
-    The other kinds shape ``m`` standard normals in the frequency domain,
-    ``m`` being the next power of two >= ``num_samples``, and keep the first
-    ``num_samples``: any stretch of circularly filtered white noise has the
-    same spectral law, and a power-of-two FFT avoids the slow path numpy
-    takes for lengths with a large prime factor.  The RMS is normalized over
-    the kept samples.
+    The other kinds draw a length-``m`` real FFT's ``m/2 + 1`` bins directly
+    as ``m + 2`` standard normals (Timmer & Koenig 1995), DC and Nyquist made
+    real and scaled by sqrt(2); ``m`` is the least even 5-smooth number >=
+    ``num_samples``.  The inverse FFT of the bins times the kind's gain is
+    filtered white noise; its first ``num_samples`` are kept, RMS-normalized.
     """
     if kind not in NOISE_KINDS:
         raise ConfigurationError(f"noise kind must be one of {NOISE_KINDS}, got {kind!r}")
-    if num_samples < 1:
-        raise ConfigurationError(f"num_samples must be >= 1, got {num_samples}")
+    if not isinstance(num_samples, (int, np.integer)) or num_samples < 1:
+        raise ConfigurationError(f"num_samples must be an integer >= 1, got {num_samples!r}")
+    if not sample_rate_hz >= 1:  # written so that NaN fails too
+        raise ConfigurationError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
     rng = np.random.default_rng(seed)
     if kind == "white":
         samples = rng.standard_normal(num_samples)
     else:
-        m = 1 << (num_samples - 1).bit_length()
+        m = _fft_length(num_samples)
         freq = np.fft.rfftfreq(m, 1.0 / sample_rate_hz)
         if kind == "lowpass_voice":
             gain = 1.0 / (1.0 + (freq / 2000.0) ** 2)
@@ -119,7 +132,9 @@ def synth_noise(kind: str, num_samples: int, sample_rate_hz: int, seed: int) -> 
             gain = 1.0 / (1.0 + (freq / 4000.0) ** 2)
         else:  # broadband_jangle: metallic wideband rattle, slight rolloff
             gain = 1.0 / np.sqrt(1.0 + (freq / 30000.0) ** 2)
-        spectrum = np.fft.rfft(rng.standard_normal(m)) * gain
+        spectrum = rng.standard_normal(m + 2).view(np.complex128)
+        spectrum[[0, -1]] = math.sqrt(2.0) * spectrum[[0, -1]].real
+        spectrum *= gain
         samples = np.fft.irfft(spectrum, m)[:num_samples]
     rms = math.sqrt(float(np.mean(samples**2)))
     if rms > 0:
@@ -173,31 +188,41 @@ def measure_snr_at(signal: AudioSignal, noise: AudioSignal, carrier_hz: float) -
     return 10.0 * math.log10(s / n)
 
 
+def _capture(signal: AudioSignal, spec: ChannelSpec):
+    """``(x, unit, noise_scale)``: the delayed, gained mixdown written once into
+    ``delay + n`` zeros, then the unit noise and its scale (None when noiseless)."""
+    x = np.zeros(spec.delay_samples + signal.num_samples)
+    tail = x[spec.delay_samples :]
+    if signal.channel_count == 2:
+        np.mean(signal.samples, axis=0, out=tail)  # bitwise AudioSignal.mixdown
+        tail *= spec.gain
+    else:
+        np.multiply(signal.samples, spec.gain, out=tail)
+    if spec.noise is None:
+        return x, None, None
+    unit = synth_noise(spec.noise.kind, x.size, signal.sample_rate_hz, spec.seed).samples
+    if spec.noise.fixed_scale is not None:
+        return x, unit, spec.noise.fixed_scale
+    signal_bin = _mean_bin_power(x, signal.sample_rate_hz, spec.noise.carrier_hz)
+    noise_bin = _mean_bin_power(unit, signal.sample_rate_hz, spec.noise.carrier_hz)
+    if signal_bin == 0.0 or noise_bin == 0.0:
+        return x, unit, 0.0  # SNR undefined against a silent component
+    target = 10.0 ** (spec.noise.snr_db_at_carrier / 10.0)
+    return x, unit, math.sqrt(signal_bin / (noise_bin * target))
+
+
 def apply_channel(signal: AudioSignal, spec: ChannelSpec) -> ChannelResult:
     """Propagate a signal through the simulated channel.
 
     Stereo input is mixed down to mono first (one microphone hears both
     speakers), then delayed, scaled by the gain, and summed with calibrated
-    noise; the result is clipped to [-1, 1] with the clip count reported.
+    noise in place; the result is clipped into the noise buffer, and the
+    clip count (NaN samples included) is reported.
     """
-    x = signal.mixdown().samples * spec.gain
-    if spec.delay_samples:
-        x = np.concatenate([np.zeros(spec.delay_samples), x])
-    noise_scale = None
-    if spec.noise is not None:
-        unit = synth_noise(spec.noise.kind, x.size, signal.sample_rate_hz, spec.seed).samples
-        if spec.noise.fixed_scale is not None:
-            noise_scale = spec.noise.fixed_scale
-        else:
-            signal_bin = _mean_bin_power(x, signal.sample_rate_hz, spec.noise.carrier_hz)
-            noise_bin = _mean_bin_power(unit, signal.sample_rate_hz, spec.noise.carrier_hz)
-            if signal_bin == 0.0 or noise_bin == 0.0:
-                noise_scale = 0.0  # SNR undefined against a silent component
-            else:
-                target = 10.0 ** (spec.noise.snr_db_at_carrier / 10.0)
-                noise_scale = math.sqrt(signal_bin / (noise_bin * target))
-        x = x + noise_scale * unit
-    clipped = np.clip(x, -1.0, 1.0)
+    x, unit, noise_scale = _capture(signal, spec)
+    if unit is not None:
+        x += np.multiply(unit, noise_scale, out=unit)
+    clipped = np.clip(x, -1.0, 1.0, out=unit)  # a new array when noiseless
     clip_count = int(np.count_nonzero(clipped != x))
     return ChannelResult(
         AudioSignal(clipped, signal.sample_rate_hz),

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fsk as _fsk
 from . import psk as _psk
-from .channel import ChannelSpec, apply_channel
+from .channel import ChannelSpec, _capture, apply_channel
 from .errors import (
     ConfigurationError,
     InsufficientDataError,
@@ -200,10 +200,10 @@ def _reference_noise_scale(scheme, payload_bits, channel, base_config) -> float 
 
     Holding this scale fixed across a bit-rate sweep models a constant noise
     environment: the background does not get quieter because the transmitter
-    slowed down.
+    slowed down.  It is read without adding or clipping the noise.
     """
     payload = _trial_payload(payload_bits, channel)
-    return apply_channel(_SCHEMES[scheme].modulate(payload, base_config), channel).noise_scale
+    return _capture(_SCHEMES[scheme].modulate(payload, base_config), channel)[2]
 
 
 def sweep(

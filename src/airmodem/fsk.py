@@ -133,7 +133,7 @@ def fsk_modulate(bits, config: FskConfig = FskConfig()) -> AudioSignal:
     freqs = config.carrier_freqs_hz.values()
     tones = np.stack([generate_tone(f, spb, fs, config.amplitude).samples for f in freqs])
     clock = 3 - np.arange(bits.size) % 2  # clock1 on even periods, clock0 on odd
-    return AudioSignal(np.stack([tones[bits].ravel(), tones[clock].ravel()]), fs)
+    return AudioSignal(np.take(tones, np.stack([bits, clock]), axis=0).reshape(2, -1), fs)
 
 
 def _detect(spectrum: Spectrum, config: FskConfig, first_frame_index: int) -> list:

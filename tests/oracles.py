@@ -4,10 +4,15 @@ These deliberately avoid the library's fast paths: the spectrum oracle is a
 direct O(N^2) DFT, the phase oracle is plain quadrature correlation, the
 correlation oracle takes one dot product per delay, the ramp oracle loops
 over boundaries and the PSK oracles evaluate the carrier at every sample, so
-they can vouch for the fast implementations.
+they can vouch for the fast implementations.  The channel oracle builds the
+capture step by step, one new array per step.
 """
 
+import math
+
 import numpy as np
+
+from airmodem.channel import _mean_bin_power, synth_noise
 
 
 def naive_power_spectrum(frame: np.ndarray) -> np.ndarray:
@@ -126,3 +131,29 @@ def loop_symbol_correlations(samples, sample_rate_hz, carrier_hz, samples_per_sy
         k = np.arange(i * spb + skip, (i + 1) * spb - skip)
         z[i] = (samples[k] * np.exp(-2j * np.pi * carrier_hz * k / sample_rate_hz)).sum()
     return z
+
+
+def concat_apply_channel(signal, spec):
+    """``(samples, clip_count, noise_scale)`` of the channel, one step at a
+    time: mix down, scale, prepend the delay, add the scaled noise, and clip
+    into a copy, counting every sample the clip changed (NaN included)."""
+    fs = signal.sample_rate_hz
+    x = signal.mixdown().samples * spec.gain
+    if spec.delay_samples:
+        x = np.concatenate([np.zeros(spec.delay_samples), x])
+    noise_scale = None
+    if spec.noise is not None:
+        unit = synth_noise(spec.noise.kind, x.size, fs, spec.seed).samples
+        if spec.noise.fixed_scale is not None:
+            noise_scale = spec.noise.fixed_scale
+        else:
+            signal_bin = _mean_bin_power(x, fs, spec.noise.carrier_hz)
+            noise_bin = _mean_bin_power(unit, fs, spec.noise.carrier_hz)
+            if signal_bin == 0.0 or noise_bin == 0.0:
+                noise_scale = 0.0
+            else:
+                target = 10.0 ** (spec.noise.snr_db_at_carrier / 10.0)
+                noise_scale = math.sqrt(signal_bin / (noise_bin * target))
+        x = x + noise_scale * unit
+    clipped = np.clip(x, -1.0, 1.0)
+    return clipped, int(np.count_nonzero(clipped != x)), noise_scale

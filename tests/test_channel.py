@@ -18,8 +18,10 @@ from airmodem import (
     power_spectrum,
     synth_noise,
 )
-from airmodem.channel import SNR_FFT_SIZE, _mean_bin_power
+from airmodem.channel import NOISE_KINDS, SNR_FFT_SIZE, _fft_length, _mean_bin_power
+from airmodem.evaluate import _SCHEMES, _reference_noise_scale, _trial_payload
 from airmodem.signals import framed_power
+from oracles import concat_apply_channel
 
 RNG_SEED = 99
 
@@ -41,6 +43,14 @@ class TestSpecs:
     def test_negative_delay_rejected(self):
         with pytest.raises(ConfigurationError):
             ChannelSpec(delay_samples=-1)
+
+    @pytest.mark.parametrize("delay", [1.5, 2.0, math.nan, "3"])
+    def test_non_integer_delay_rejected(self, delay):
+        with pytest.raises(ConfigurationError):
+            ChannelSpec(delay_samples=delay)
+
+    def test_numpy_integer_delay_accepted(self):
+        assert ChannelSpec(delay_samples=np.int64(3)).delay_samples == 3
 
     def test_zero_gain_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -161,6 +171,56 @@ class TestApplyChannel:
         )
 
 
+class TestApplyChannelMatchesOracle:
+    """Bitwise agreement with the step-by-step channel in tests/oracles.py."""
+
+    NOISES = {
+        "noiseless": None,
+        "fixed_scale": NoiseSpec("white", 99.0, 18500.0, fixed_scale=0.3),
+        "calibrated": NoiseSpec("white", 6.0, 18500.0),
+        "silent_scale": NoiseSpec("white", 6.0, 18500.0, fixed_scale=0.0),
+    }
+
+    def _check(self, signal, spec):
+        result = apply_channel(signal, spec)
+        samples, clip_count, noise_scale = concat_apply_channel(signal, spec)
+        np.testing.assert_array_equal(result.signal.samples, samples)
+        assert result.clip_count == clip_count
+        assert result.clip_fraction == clip_count / samples.size
+        np.testing.assert_equal(result.noise_scale, noise_scale)  # NaN reads equal to NaN
+        return result
+
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("gain", [0.7, 1.0, 1.3])
+    @pytest.mark.parametrize("delay", [0, 733])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_bitwise(self, channels, delay, gain, noise):
+        # amplitude 0.9 with gain 1.3 and noise clips a good share of samples
+        tones = [generate_tone(f, 9000, 44100, amplitude=0.9).samples for f in (18250, 18750)]
+        signal = AudioSignal(tones[0] if channels == 1 else np.stack(tones), 44100)
+        spec = ChannelSpec(delay_samples=delay, gain=gain, noise=self.NOISES[noise], seed=4)
+        self._check(signal, spec)
+
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_nan_sample_counts_as_clipped(self, channels, noise):
+        samples = generate_tone(18500, 9000, 44100, amplitude=0.5).samples
+        samples[100] = math.nan
+        signal = AudioSignal(samples if channels == 1 else np.stack([samples, samples]), 44100)
+        result = self._check(signal, ChannelSpec(delay_samples=5, noise=self.NOISES[noise]))
+        assert result.clip_count >= 1
+
+    @pytest.mark.parametrize("kind", ["white", "lowpass_voice"])
+    @pytest.mark.parametrize("scheme", sorted(_SCHEMES))
+    def test_reference_noise_scale_is_the_channel_scale(self, scheme, kind):
+        config = _SCHEMES[scheme].config_class()
+        noise = NoiseSpec(kind, 12.0, _SCHEMES[scheme].noise_carrier_hz(config))
+        channel = ChannelSpec(delay_samples=321, gain=0.8, noise=noise, seed=17)
+        signal = _SCHEMES[scheme].modulate(_trial_payload(24, channel), config)
+        expected = apply_channel(signal, channel).noise_scale
+        assert _reference_noise_scale(scheme, 24, channel, config) == expected
+
+
 class TestSynthNoise:
     def test_same_seed_identical(self):
         a = synth_noise("white", 4096, 96000, 12)
@@ -226,6 +286,73 @@ class TestSynthNoise:
     def test_zero_samples_rejected(self):
         with pytest.raises(ConfigurationError):
             synth_noise("white", 0, 44100, 0)
+
+    @pytest.mark.parametrize("num_samples", [1.5, 100.0, math.nan])
+    @pytest.mark.parametrize("kind", ["white", "lowpass_voice"])
+    def test_non_integer_samples_rejected(self, kind, num_samples):
+        with pytest.raises(ConfigurationError):
+            synth_noise(kind, num_samples, 44100, 0)
+
+    @pytest.mark.parametrize("rate", [0, -8000, math.nan])
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_bad_sample_rate_rejected(self, kind, rate):
+        with pytest.raises(ConfigurationError):
+            synth_noise(kind, 100, rate, 1)
+
+    @pytest.mark.parametrize(
+        "kind,low_hz,high_hz",
+        [
+            ("lowpass_voice", 1000.0, 6000.0),
+            ("lowpass_music", 1000.0, 6000.0),
+            ("broadband_jangle", 1000.0, 18000.0),
+        ],
+    )
+    def test_band_ratio_follows_gain_law(self, kind, low_hz, high_hz):
+        # 8 s at 48 kHz: each 200 Hz band averages 1600 bins, ~0.1 dB spread
+        gains = {
+            "lowpass_voice": lambda f: 1.0 / (1.0 + (f / 2000.0) ** 2) ** 2,
+            "lowpass_music": lambda f: 1.0 / (1.0 + (f / 4000.0) ** 2) ** 2,
+            "broadband_jangle": lambda f: 1.0 / (1.0 + (f / 30000.0) ** 2),
+        }
+        sig = synth_noise(kind, 8 * 48000 + 7, 48000, 5)
+        measured = band_density(sig, low_hz - 100, low_hz + 100) / band_density(
+            sig, high_hz - 100, high_hz + 100
+        )
+        freqs = np.fft.rfftfreq(sig.num_samples, 1.0 / 48000)
+        law = gains[kind](freqs)
+        low = (freqs >= low_hz - 100) & (freqs <= low_hz + 100)
+        high = (freqs >= high_hz - 100) & (freqs <= high_hz + 100)
+        expected = law[low].mean() / law[high].mean()
+        assert 10 * math.log10(measured / expected) == pytest.approx(0.0, abs=1.0)
+
+    @pytest.mark.parametrize("kind", ["lowpass_music", "broadband_jangle"])
+    def test_dc_and_nyquist_bins_have_the_interior_law(self, kind):
+        # at an FFT-friendly length the draw is the whole inverse FFT, so its
+        # spectrum over the gain is the drawn bins: DC and Nyquist must carry
+        # the same mean power as the interior bins, as in the FFT of white noise
+        n, rate = 64, 44100
+        assert _fft_length(n) == n
+        draws = np.stack([synth_noise(kind, n, rate, seed).samples for seed in range(3000)])
+        power = (np.abs(np.fft.rfft(draws, axis=1)) ** 2).mean(axis=0)
+        freqs = np.fft.rfftfreq(n, 1.0 / rate)
+        if kind == "lowpass_music":
+            power *= (1.0 + (freqs / 4000.0) ** 2) ** 2
+        else:
+            power *= 1.0 + (freqs / 30000.0) ** 2
+        interior = power[1:-1].mean()
+        for edge in (power[0], power[-1]):
+            assert 10 * math.log10(edge / interior) == pytest.approx(0.0, abs=1.0)
+
+    def test_fft_length_is_least_even_5_smooth(self):
+        smooth = sorted(
+            2**a * 3**b * 5**c
+            for a in range(1, 17)
+            for b in range(11)
+            for c in range(8)
+            if 2**a * 3**b * 5**c <= 40000
+        )
+        for n in range(1, 20001):
+            assert _fft_length(n) == smooth[np.searchsorted(smooth, n)]
 
 
 class TestMeasureSnr:

@@ -113,6 +113,16 @@ class TestFskModulate:
                 bin_width = 44100 / 4096
                 assert int(np.argmax(oracle)) == round(freq / bin_width)
 
+    @pytest.mark.parametrize("bits", [[1], [0, 1, 1, 0, 1], [1, 1, 0, 0, 0, 1, 0, 1, 1]])
+    def test_equals_stack_of_two_gathers(self, bits):
+        cfg = FskConfig(bit_rate_bps=5.0)
+        spb = cfg.samples_per_bit
+        freqs = cfg.carrier_freqs_hz.values()
+        tones = np.stack([generate_tone(f, spb, 44100, cfg.amplitude).samples for f in freqs])
+        clock = 3 - np.arange(len(bits)) % 2
+        expected = np.stack([tones[np.asarray(bits)].ravel(), tones[clock].ravel()])
+        np.testing.assert_array_equal(fsk_modulate(bits, cfg).samples, expected)
+
     def test_empty_bits_rejected(self):
         with pytest.raises(ConfigurationError):
             fsk_modulate([], FskConfig())
