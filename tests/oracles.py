@@ -5,10 +5,12 @@ direct O(N^2) DFT, the phase oracle is plain quadrature correlation, the
 correlation oracle takes one dot product per delay, the ramp oracle loops
 over boundaries and the PSK oracles evaluate the carrier at every sample, so
 they can vouch for the fast implementations.  The channel oracle builds the
-capture step by step, one new array per step.
+capture step by step, one new array per step.  The WAV oracle packs the
+44-byte PCM header field by field with ``struct``.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -157,3 +159,31 @@ def concat_apply_channel(signal, spec):
         x = x + noise_scale * unit
     clipped = np.clip(x, -1.0, 1.0)
     return clipped, int(np.count_nonzero(clipped != x)), noise_scale
+
+
+def struct_packed_wav(samples, sample_rate_hz: int) -> bytes:
+    """A 16-bit PCM WAV file: the 44-byte header packed field by field, then
+    round(clip(x) * 32767) clamped to int16, frame-major (L R L R ...).
+    ``samples`` is ``(n,)`` for mono or ``(channels, n)``."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    channels = samples.shape[0]
+    pcm = np.clip(np.round(np.clip(samples, -1.0, 1.0) * 32767), -32768, 32767).astype("<i2")
+    data = pcm.T.tobytes()
+    block_align = 2 * channels
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF",
+        36 + len(data),
+        b"WAVE",
+        b"fmt ",
+        16,
+        1,
+        channels,
+        sample_rate_hz,
+        sample_rate_hz * block_align,
+        block_align,
+        16,
+        b"data",
+        len(data),
+    )
+    return header + data

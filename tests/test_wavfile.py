@@ -14,6 +14,7 @@ from airmodem import (
     read_wav,
     write_wav,
 )
+from oracles import struct_packed_wav
 
 
 def make_wav_bytes(tag=1, channels=1, rate=44100, bits=16, payload=b"\x00\x00"):
@@ -34,6 +35,20 @@ def make_wav_bytes(tag=1, channels=1, rate=44100, bits=16, payload=b"\x00\x00"):
         b"data",
         len(payload),
     ) + payload
+
+
+def chunk(chunk_id: bytes, body: bytes) -> bytes:
+    """One RIFF chunk, with the pad byte an odd-sized body needs."""
+    return chunk_id + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) % 2)
+
+
+def riff(*chunks: bytes) -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+FMT_MONO = struct.pack("<HHIIHH", 1, 1, 44100, 88200, 2, 16)
+PAYLOAD = struct.pack("<hh", 1000, -1000)
 
 
 class TestWriteWav:
@@ -79,6 +94,107 @@ class TestWriteWav:
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             write_wav(AudioSignal([0.0], 44100), tmp_path / "nodir" / "x.wav")
+
+
+class TestWriteWavMatchesOracle:
+    @pytest.mark.parametrize("rate", [44100, 48000, 96000])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_bytes_equal_struct_packed(self, tmp_path, channels, rate):
+        rng = np.random.default_rng(rate + channels)
+        samples = rng.uniform(-1.5, 1.5, (channels, 301))
+        # full scale, just past it, and half-way values next to full scale
+        samples[:, :6] = [1.0, -1.0, 1.0 + 1e-12, -3.0, 32766.5 / 32767, -32766.5 / 32767]
+        path = tmp_path / "oracle.wav"
+        with pytest.warns(ClippingWarning):
+            write_wav(AudioSignal(samples if channels == 2 else samples[0], rate), path)
+        assert path.read_bytes() == struct_packed_wav(samples, rate)
+
+
+class TestReadWavLayouts:
+    """Chunk layouts: accepted ones hold the samples of PAYLOAD, and rejected
+    ones raise a fixed exception type and message."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            riff(chunk(b"fmt ", FMT_MONO), chunk(b"junk", b"abc"), chunk(b"data", PAYLOAD)),
+            riff(chunk(b"data", PAYLOAD), chunk(b"fmt ", FMT_MONO)),
+            riff(chunk(b"fmt ", FMT_MONO + b"\x00\x00"), chunk(b"data", PAYLOAD)),
+            riff(chunk(b"fmt ", FMT_MONO), chunk(b"data", PAYLOAD))
+            + b"LIST" + struct.pack("<I", 100) + b"INFO",
+        ],
+        ids=["odd_unknown_chunk_padded", "data_before_fmt", "fmt_18_bytes", "truncated_tail_chunk"],
+    )
+    def test_accepted(self, tmp_path, raw):
+        path = tmp_path / "layout.wav"
+        path.write_bytes(raw)
+        signal, spec = read_wav(path)
+        assert (spec.sample_rate_hz, spec.channel_count) == (44100, 1)
+        np.testing.assert_array_equal(signal.samples, [1000 / 32767, -1000 / 32767])
+
+    @pytest.mark.parametrize(
+        "raw,error,message",
+        [
+            (b"RIFF\x04\x00\x00\x00WAV", CorruptFileError, "file truncated while reading RIFF header"),
+            (
+                riff(chunk(b"fmt ", FMT_MONO[:14]), chunk(b"data", PAYLOAD)),
+                CorruptFileError,
+                "fmt chunk too small (14 bytes)",
+            ),
+            (
+                riff(b"fmt " + struct.pack("<I", 16) + FMT_MONO[:10]),
+                CorruptFileError,
+                "file truncated while reading fmt chunk",
+            ),
+            (riff(chunk(b"data", PAYLOAD)), CorruptFileError, "missing fmt chunk"),
+            (riff(chunk(b"fmt ", FMT_MONO)), CorruptFileError, "missing data chunk"),
+            (
+                riff(chunk(b"fmt ", FMT_MONO), chunk(b"data", b"")),
+                CorruptFileError,
+                "data chunk is empty",
+            ),
+            (
+                riff(chunk(b"fmt ", FMT_MONO[:12] + struct.pack("<HH", 4, 16)), chunk(b"data", PAYLOAD)),
+                CorruptFileError,
+                "data chunk size does not match the frame layout",
+            ),
+            (
+                riff(chunk(b"fmt ", struct.pack("<H", 3) + FMT_MONO[2:]), chunk(b"data", PAYLOAD)),
+                UnsupportedFormatError,
+                "unsupported format tag 3 (only PCM=1)",
+            ),
+        ],
+        ids=[
+            "under_12_bytes",
+            "fmt_14_bytes",
+            "truncated_fmt",
+            "no_fmt",
+            "no_data",
+            "empty_data",
+            "block_align_mismatch",
+            "float_tag",
+        ],
+    )
+    def test_rejected_with_message(self, tmp_path, raw, error, message):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(raw)
+        with pytest.raises(error) as excinfo:
+            read_wav(path)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("extra", range(1, 8))
+    def test_trailing_bytes_after_data_rejected(self, tmp_path, extra):
+        path = tmp_path / "tail.wav"
+        path.write_bytes(riff(chunk(b"fmt ", FMT_MONO), chunk(b"data", PAYLOAD)) + b"\x00" * extra)
+        with pytest.raises(CorruptFileError, match="^file truncated inside a chunk header$"):
+            read_wav(path)
+
+    def test_not_riff_names_the_file(self, tmp_path):
+        path = tmp_path / "junk.wav"
+        path.write_bytes(b"OggS" + b"\x00" * 40)
+        with pytest.raises(UnsupportedFormatError) as excinfo:
+            read_wav(path)
+        assert str(excinfo.value) == f"{path} is not a RIFF/WAVE file"
 
 
 class TestReadWav:
