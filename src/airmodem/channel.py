@@ -63,6 +63,8 @@ class ChannelSpec:
     def __post_init__(self):
         if not isinstance(self.delay_samples, (int, np.integer)) or self.delay_samples < 0:
             raise ConfigurationError(f"delay_samples must be an int >= 0, got {self.delay_samples}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigurationError(f"seed must be an int >= 0, got {self.seed}")
         if not 0 < self.gain < math.inf:
             raise ConfigurationError(f"gain must be > 0 and finite, got {self.gain}")
 

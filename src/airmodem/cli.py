@@ -1,8 +1,9 @@
 """Command-line front end: encode/decode WAV files, run simulations and sweeps.
 
-Exit codes: 0 success, 2 usage or configuration problem (including unreadable
-or mismatched files), 3 runtime signal-processing failure (lost sync, no
-clock).  Every command is deterministic given its flags.
+Exit codes: 0 success; 3 a runtime signal-processing failure (SyncNotFoundError,
+NoClockError); 2 a usage error, any other ModemError (bad configuration,
+unreadable or mismatched files) or an OSError.  Every command is deterministic
+given its flags.
 """
 
 import argparse
@@ -13,15 +14,7 @@ import numpy as np
 
 from . import evaluate, fsk, psk, wavfile
 from .channel import ChannelSpec, NoiseSpec, NOISE_KINDS
-from .errors import (
-    ConfigurationError,
-    CorruptFileError,
-    IncompatibleSignalError,
-    InsufficientDataError,
-    NoClockError,
-    SyncNotFoundError,
-    UnsupportedFormatError,
-)
+from .errors import ConfigurationError, ModemError, NoClockError, SyncNotFoundError
 from .signals import framed_power
 
 # config field -> (flag, type); a field both configs have shares one flag
@@ -249,26 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        ConfigurationError,
-        IncompatibleSignalError,
-        InsufficientDataError,
-        UnsupportedFormatError,
-        CorruptFileError,
-        OSError,
-    ) as exc:
+    except (ModemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SyncNotFoundError, NoClockError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, (SyncNotFoundError, NoClockError)) else 2
 
 
 if __name__ == "__main__":

@@ -48,8 +48,10 @@ class FskConfig:
     band_hi_hz: float = 19500.0
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ConfigurationError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ConfigurationError(
+                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"
+            )
         if self.fft_size < 2 or self.fft_size & (self.fft_size - 1) != 0:
             raise ConfigurationError(f"fft_size must be a power of two, got {self.fft_size}")
         carriers = self.carrier_freqs_hz

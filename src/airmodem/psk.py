@@ -38,8 +38,10 @@ class PskConfig:
     ramp_fraction: float = 0.125
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ConfigurationError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ConfigurationError(
+                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"
+            )
         if not 0.0 < self.carrier_hz < self.sample_rate_hz / 2:
             raise NyquistViolationError(
                 f"carrier_hz={self.carrier_hz} must lie in (0, {self.sample_rate_hz / 2})"

@@ -4,6 +4,7 @@ All operations are pure functions on immutable values and are safe to call
 concurrently.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -44,8 +45,10 @@ class AudioSignal:
             )
         if samples.shape[-1] < 1:
             raise IncompatibleSignalError("signal must contain at least one sample")
-        if int(self.sample_rate_hz) <= 0:
-            raise ConfigurationError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not 1 <= self.sample_rate_hz < math.inf:  # int() would make a rate below 1 zero
+            raise ConfigurationError(
+                f"sample_rate_hz must be >= 1 and finite, got {self.sample_rate_hz}"
+            )
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
 

@@ -1,13 +1,17 @@
 """Bit-exact 16-bit PCM WAV reading and writing.
 
-Samples scale symmetrically by 32767 so +-1.0 round-trips to +-32767, and the
-writer emits a fixed 44-byte header with no metadata, making output files
-byte-identical across runs.  Concurrent reads are safe; concurrent writes to
-the same path are undefined.
+Samples scale symmetrically by 32767 so +-1.0 round-trips to +-32767.  The
+standard library's ``wave`` writes the fixed 44-byte header with no metadata,
+so output files are byte-identical across runs.  The reader reads the file
+once and walks its chunks in memory; it stays hand-written because ``wave``'s
+reader refuses data before fmt and lets a partial chunk header or a wrong
+block alignment through.  Concurrent reads are safe; concurrent writes to the
+same path are undefined.
 """
 
 import struct
 import warnings
+import wave
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +37,7 @@ def write_wav(signal: AudioSignal, path) -> None:
     """Write a signal as 16-bit PCM WAV (interleaved channels).
 
     Samples outside [-1, 1] are clipped first; a ClippingWarning reports how
-    many.  Conversion is round(sample * 32767) clamped to int16 range.
+    many.  Conversion is round(sample * 32767), which stays in int16 range.
     """
     samples = signal.samples if signal.channel_count == 2 else signal.samples[np.newaxis, :]
     clipped = np.clip(samples, -1.0, 1.0)
@@ -44,37 +48,13 @@ def write_wav(signal: AudioSignal, path) -> None:
             ClippingWarning,
             stacklevel=2,
         )
-    pcm = np.clip(np.round(clipped * _SCALE), -32768, 32767).astype("<i2")
-    interleaved = pcm.T.reshape(-1)  # frame-major: L R L R ...
-    data = interleaved.tobytes()
-    channels = signal.channel_count
-    block_align = channels * _BITS_PER_SAMPLE // 8
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF",
-        36 + len(data),
-        b"WAVE",
-        b"fmt ",
-        16,
-        _PCM_TAG,
-        channels,
-        signal.sample_rate_hz,
-        signal.sample_rate_hz * block_align,
-        block_align,
-        _BITS_PER_SAMPLE,
-        b"data",
-        len(data),
-    )
-    with open(path, "wb") as handle:
-        handle.write(header)
-        handle.write(data)
-
-
-def _read_exact(handle, count: int, what: str) -> bytes:
-    chunk = handle.read(count)
-    if len(chunk) != count:
-        raise CorruptFileError(f"file truncated while reading {what}")
-    return chunk
+    pcm = np.round(clipped * _SCALE).astype(np.int16)  # native order: wave writes little-endian
+    # open first: wave.open would take a pathlib.Path for a file object
+    with open(path, "wb") as handle, wave.open(handle, "wb") as out:
+        out.setnchannels(signal.channel_count)
+        out.setsampwidth(_BITS_PER_SAMPLE // 8)
+        out.setframerate(signal.sample_rate_hz)
+        out.writeframes(pcm.T.tobytes())  # frame-major: L R L R ...
 
 
 def read_wav(path) -> tuple[AudioSignal, WavSpec]:
@@ -85,35 +65,36 @@ def read_wav(path) -> tuple[AudioSignal, WavSpec]:
     Unknown chunks (LIST, fact, ...) are skipped.
     """
     with open(path, "rb") as handle:
-        riff, _riff_size, wave = struct.unpack("<4sI4s", _read_exact(handle, 12, "RIFF header"))
-        if riff != b"RIFF" or wave != b"WAVE":
-            raise UnsupportedFormatError(f"{path} is not a RIFF/WAVE file")
-        fmt = None
-        data = None
-        while True:
-            chunk_header = handle.read(8)
-            if not chunk_header:
-                break
-            if len(chunk_header) != 8:
-                raise CorruptFileError("file truncated inside a chunk header")
-            chunk_id, chunk_size = struct.unpack("<4sI", chunk_header)
-            if chunk_id == b"fmt ":
-                if chunk_size < 16:
-                    raise CorruptFileError(f"fmt chunk too small ({chunk_size} bytes)")
-                body = _read_exact(handle, chunk_size, "fmt chunk")
-                fmt = struct.unpack("<HHIIHH", body[:16])
-            elif chunk_id == b"data":
-                if chunk_size == 0:
-                    raise CorruptFileError("data chunk is empty")
-                data = _read_exact(handle, chunk_size, "data chunk")
-            else:
-                handle.seek(chunk_size, 1)
-            if chunk_size % 2:  # RIFF chunks are word-aligned
-                handle.seek(1, 1)
-        if fmt is None:
-            raise CorruptFileError("missing fmt chunk")
-        if data is None:
-            raise CorruptFileError("missing data chunk")
+        raw = memoryview(handle.read())
+    if len(raw) < 12:
+        raise CorruptFileError("file truncated while reading RIFF header")
+    riff, _riff_size, form = struct.unpack_from("<4sI4s", raw)
+    if riff != b"RIFF" or form != b"WAVE":
+        raise UnsupportedFormatError(f"{path} is not a RIFF/WAVE file")
+    fmt = data = None
+    offset = 12
+    while offset < len(raw):
+        if len(raw) - offset < 8:
+            raise CorruptFileError("file truncated inside a chunk header")
+        chunk_id, chunk_size = struct.unpack_from("<4sI", raw, offset)
+        body = raw[offset + 8 : offset + 8 + chunk_size]
+        if chunk_id == b"fmt ":
+            if chunk_size < 16:
+                raise CorruptFileError(f"fmt chunk too small ({chunk_size} bytes)")
+            if len(body) != chunk_size:
+                raise CorruptFileError("file truncated while reading fmt chunk")
+            fmt = struct.unpack_from("<HHIIHH", body)
+        elif chunk_id == b"data":
+            if chunk_size == 0:
+                raise CorruptFileError("data chunk is empty")
+            if len(body) != chunk_size:
+                raise CorruptFileError("file truncated while reading data chunk")
+            data = body
+        offset += 8 + chunk_size + chunk_size % 2  # RIFF chunks are word-aligned
+    if fmt is None:
+        raise CorruptFileError("missing fmt chunk")
+    if data is None:
+        raise CorruptFileError("missing data chunk")
     tag, channels, sample_rate, _byte_rate, block_align, bits = fmt
     if tag != _PCM_TAG:
         raise UnsupportedFormatError(f"unsupported format tag {tag} (only PCM=1)")
@@ -123,9 +104,7 @@ def read_wav(path) -> tuple[AudioSignal, WavSpec]:
         raise UnsupportedFormatError(f"unsupported channel count {channels}")
     if block_align != channels * 2 or len(data) % block_align:
         raise CorruptFileError("data chunk size does not match the frame layout")
-    pcm = np.frombuffer(data, dtype="<i2")
-    samples = pcm.astype(np.float64) / _SCALE
+    samples = np.frombuffer(data, dtype="<i2") / _SCALE
     if channels == 2:
         samples = samples.reshape(-1, 2).T
-    spec = WavSpec(sample_rate, channels)
-    return AudioSignal(samples, sample_rate), spec
+    return AudioSignal(samples, sample_rate), WavSpec(sample_rate, channels)

@@ -52,6 +52,15 @@ class TestSpecs:
     def test_numpy_integer_delay_accepted(self):
         assert ChannelSpec(delay_samples=np.int64(3)).delay_samples == 3
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, math.nan, np.int64(-3), "7"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError):
+            ChannelSpec(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**40, np.uint32(7), np.int64(5)])
+    def test_integer_seed_accepted(self, seed):
+        assert ChannelSpec(seed=seed).seed == seed
+
     def test_zero_gain_rejected(self):
         with pytest.raises(ConfigurationError):
             ChannelSpec(gain=0.0)

@@ -24,7 +24,7 @@ from airmodem import (
     write_wav,
 )
 from airmodem.cli import main, parse_payload
-from airmodem.errors import ConfigurationError
+from airmodem.errors import ConfigurationError, ModemError, NoClockError, SyncNotFoundError
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = ("spectrum", "decode_fsk", "decode_dpsk", "decode_bpsk")
@@ -229,6 +229,12 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "dpsk", "--noise-kind", "white")
         assert code == 2
 
+    def test_negative_seed_exit_2(self, capsys):
+        code, stdout, err = run_cli(capsys, "simulate", "dpsk", "--bits", "10", "--seed", "-1")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: seed must be an int >= 0")
+
     @pytest.mark.parametrize(
         "scheme,flag,value",
         [
@@ -288,6 +294,14 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_negative_seed_exit_2(self, capsys):
+        code, stdout, err = run_cli(
+            capsys, "sweep", "dpsk", "--axis", "snr", "--values", "20", "--seed", "-3"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: seed must be an int >= 0")
+
 
 class TestSpectrum:
     def test_tone_peak_row(self, capsys, tmp_path):
@@ -326,6 +340,41 @@ class TestSpectrum:
         code, stdout, _ = run_cli(capsys, "spectrum", str(path), "--fft-size", "1024")
         assert code == 0
         assert len(stdout.splitlines()) == 1 + 513
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+class TestExitCodes:
+    """The exit code of a failed command follows the error hierarchy: 3 for a
+    lost sync or clock, 2 for any other ModemError and for an OSError."""
+
+    ERRORS = sorted({ModemError, OSError, *subclasses(ModemError)}, key=lambda cls: cls.__name__)
+
+    def encode_raising(self, capsys, monkeypatch, tmp_path, error):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr("airmodem.cli._cmd_encode", fail)
+        return run_cli(capsys, "encode", "dpsk", "0xA5", str(tmp_path / "x.wav"))
+
+    @pytest.mark.parametrize("error", ERRORS, ids=lambda cls: cls.__name__)
+    def test_code_follows_hierarchy(self, capsys, monkeypatch, tmp_path, error):
+        code, stdout, err = self.encode_raising(capsys, monkeypatch, tmp_path, error)
+        assert code == (3 if issubclass(error, (NoClockError, SyncNotFoundError)) else 2)
+        assert stdout == ""
+        assert err == "error: boom\n"
+
+    def test_new_modem_error_exits_2(self, capsys, monkeypatch, tmp_path):
+        class PluginError(ModemError):
+            pass
+
+        code, _, err = self.encode_raising(capsys, monkeypatch, tmp_path, PluginError)
+        assert code == 2
+        assert err.startswith("error:")
 
 
 def golden_argv(case, path):

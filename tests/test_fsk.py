@@ -62,7 +62,7 @@ class TestFskConfig:
             FskConfig(bit_rate_bps=8.0)
 
     @pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
-    @pytest.mark.parametrize("field", ["bit_rate_bps", "detection_ratio"])
+    @pytest.mark.parametrize("field", ["bit_rate_bps", "sample_rate_hz", "detection_ratio"])
     def test_rate_and_ratio_must_be_positive_and_finite(self, field, value):
         with pytest.raises(ConfigurationError):
             FskConfig(**{field: value})

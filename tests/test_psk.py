@@ -73,6 +73,11 @@ class TestPskConfig:
         with pytest.raises(ConfigurationError):
             PskConfig(bit_rate_bps=rate)
 
+    @pytest.mark.parametrize("rate", [0, -96000, math.nan, math.inf])
+    def test_sample_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ConfigurationError):
+            PskConfig(sample_rate_hz=rate)
+
     def test_amplitude_bounds(self):
         with pytest.raises(ConfigurationError):
             PskConfig(amplitude=0.0)

@@ -1,5 +1,7 @@
 """Tests for tone synthesis, spectra, band power and signal arithmetic."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,14 @@ class TestAudioSignal:
     def test_bad_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             AudioSignal([0.0], 0)
+
+    @pytest.mark.parametrize("rate", [0.5, -8000, math.nan, math.inf])
+    def test_sub_unit_or_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ConfigurationError):
+            AudioSignal([0.0], rate)
+
+    def test_fractional_rate_truncates(self):
+        assert AudioSignal([0.0], 1.5).sample_rate_hz == 1
 
     def test_three_channels_rejected(self):
         with pytest.raises(IncompatibleSignalError):
