@@ -8,7 +8,7 @@
 
 import numpy as np
 
-from airmodem import AudioSignal, band_power, generate_tone, mix, power_spectrum
+from airmodem import AudioSignal, band_power, generate_tone, power_spectrum
 
 ## a pure near-ultrasonic tone
 
@@ -26,9 +26,10 @@ print(f"spectral peak at bin {peak_bin} = {spectrum.bin_freq_hz[peak_bin]:.1f} H
 
 ## two carriers at once, as in the dual-channel FSK scheme
 
-pair = mix(
-    generate_tone(18000.0, 4096, sample_rate, amplitude=0.4),
-    generate_tone(18750.0, 4096, sample_rate, amplitude=0.4),
+pair = AudioSignal(
+    generate_tone(18000.0, 4096, sample_rate, amplitude=0.4).samples
+    + generate_tone(18750.0, 4096, sample_rate, amplitude=0.4).samples,
+    sample_rate,
 )
 pair_spectrum = power_spectrum(pair, 4096)
 for freq in (18000.0, 18750.0):

@@ -19,9 +19,9 @@ from airmodem import (
     apply_channel,
     bpsk_demodulate_coherent,
     bpsk_modulate,
+    correlate_delay,
     dpsk_demodulate,
     dpsk_modulate,
-    estimate_delay,
 )
 from airmodem.psk import DEFAULT_HEADER_BITS
 
@@ -39,7 +39,7 @@ bpsk_tx = bpsk_modulate(tx_bits, config)
 channel = ChannelSpec(delay_samples=733, noise=NoiseSpec("white", 18.0, config.carrier_hz), seed=9)
 received = apply_channel(bpsk_tx, channel).signal
 
-delay = estimate_delay(received, header, config, max_delay_samples=2000)
+delay = correlate_delay(received, bpsk_modulate(header, config), max_delay_samples=2000)
 print(f"\nBPSK: true delay 733, estimated {delay}")
 trace = bpsk_demodulate_coherent(received, config, delay_samples=delay)
 decoded = trace.decisions[header.size : header.size + payload.size]

@@ -7,6 +7,8 @@ acoustic channel, a Monte-Carlo evaluation harness, bit-exact WAV I/O, and a
 CLI for driving all of it.
 """
 
+import types
+
 from .channel import (
     ChannelResult,
     ChannelSpec,
@@ -53,73 +55,21 @@ from .psk import (
     DemodTrace,
     PskConfig,
     apply_transition_ramp,
-    bipolar,
     bpsk_demodulate_coherent,
     bpsk_modulate,
     correlate_delay,
     dpsk_demodulate,
     dpsk_encode,
     dpsk_modulate,
-    estimate_delay,
 )
-from .signals import AudioSignal, Spectrum, band_power, generate_tone, mix, power_spectrum
+from .signals import AudioSignal, Spectrum, band_power, generate_tone, power_spectrum
 from .wavfile import WavSpec, read_wav, write_wav
 
 __version__ = "0.1.0"
 
+# the public names are the ones imported above
 __all__ = [
-    "AudioSignal",
-    "ChannelResult",
-    "ChannelSpec",
-    "CarrierDetection",
-    "ClippingWarning",
-    "ConfigurationError",
-    "CorruptFileError",
-    "DEFAULT_HEADER_BITS",
-    "DemodTrace",
-    "EmptyBandWarning",
-    "FskConfig",
-    "FskDemodResult",
-    "IncompatibleSignalError",
-    "InsufficientDataError",
-    "ModemError",
-    "NOISE_KINDS",
-    "NoClockError",
-    "NoiseSpec",
-    "NyquistViolationError",
-    "PskConfig",
-    "Spectrum",
-    "SweepResult",
-    "SyncNotFoundError",
-    "TransmissionReport",
-    "UnsupportedFormatError",
-    "WavSpec",
-    "apply_channel",
-    "apply_transition_ramp",
-    "band_power",
-    "ber_estimate_from_btsr",
-    "bipolar",
-    "bpsk_demodulate_coherent",
-    "bpsk_modulate",
-    "compute_btsr",
-    "correlate_delay",
-    "detect_carriers",
-    "detect_carriers_in_spectrum",
-    "dpsk_demodulate",
-    "dpsk_encode",
-    "dpsk_modulate",
-    "estimate_delay",
-    "fsk_demodulate",
-    "fsk_modulate",
-    "generate_tone",
-    "measure_snr_at",
-    "mix",
-    "power_spectrum",
-    "random_bits",
-    "read_wav",
-    "run_trial",
-    "sweep",
-    "sweep_to_csv",
-    "synth_noise",
-    "write_wav",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]

@@ -153,7 +153,6 @@ def run_trial(
     channel: ChannelSpec,
     config=None,
     sync: str = "known_delay",
-    header_bits=_psk.DEFAULT_HEADER_BITS,
     max_delay_samples: int = 4800,
 ) -> TransmissionReport:
     """One seeded end-to-end trial: random payload -> modulate -> channel -> demodulate.
@@ -162,7 +161,8 @@ def run_trial(
     and the noise realization).  Demodulator failures surface as an empty
     received stream, not an exception.  ``sync`` selects how PSK receivers
     align: ``known_delay`` uses the channel's true delay (loopback mode),
-    ``header`` prepends known header bits and synchronizes by correlation.
+    ``header`` prepends :data:`psk.DEFAULT_HEADER_BITS` and synchronizes by
+    correlation.
     """
     entry = _lookup_scheme(scheme, sync)
     if payload_bits < 1:
@@ -170,7 +170,7 @@ def run_trial(
     payload = _trial_payload(payload_bits, channel)
     config = config if config is not None else entry.config_class()
     use_header = sync == "header" and entry.header_sync
-    header = np.asarray(header_bits if use_header else (), dtype=np.int64)
+    header = np.asarray(_psk.DEFAULT_HEADER_BITS if use_header else (), dtype=np.int64)
     out = apply_channel(entry.modulate(np.concatenate([header, payload]), config), channel)
     received, erasure_count = np.array([], dtype=np.int64), 0
     try:

@@ -96,11 +96,6 @@ class DemodTrace:
     erasures: np.ndarray
 
 
-def bipolar(bits) -> np.ndarray:
-    """Map logical bits to the bipolar alphabet: 1 -> +1.0, 0 -> -1.0."""
-    return 2.0 * _as_bits(bits) - 1.0
-
-
 def _carrier_basis(config: PskConfig, num_symbols: int) -> tuple[np.ndarray, np.ndarray]:
     """Start phasors exp(j*w*i*spb) of ``num_symbols`` symbols and the
     one-symbol template [cos(w*j), sin(w*j)] of shape (spb, 2)."""
@@ -255,18 +250,6 @@ def correlate_delay(received: AudioSignal, template: AudioSignal, max_delay_samp
     return best
 
 
-def estimate_delay(
-    received: AudioSignal,
-    header_bits,
-    config: PskConfig = PskConfig(),
-    max_delay_samples: int = 4800,
-) -> int:
-    """Estimate the propagation delay of a known BPSK header by normalized
-    cross-correlation over the delays in [0, max_delay_samples] that fit."""
-    template = bpsk_modulate(header_bits, config)
-    return correlate_delay(received, template, max_delay_samples)
-
-
 def dpsk_encode(bits) -> np.ndarray:
     """Differentially encode bits to absolute symbol phases (radians).
 
@@ -293,7 +276,6 @@ def dpsk_demodulate(
     received: AudioSignal,
     config: PskConfig = PskConfig(),
     start_offset_samples: int = 0,
-    erasure_floor: float = 0.1,
 ) -> DemodTrace:
     """Differential detection on per-symbol correlator outputs.
 
@@ -301,11 +283,9 @@ def dpsk_demodulate(
     transition-ramp windows.  Bit i reads the phase step theta between
     symbols i and i+1 from z_{i+1} * conj(z_i): its real part y, normalized
     so a clean channel gives cos(theta) (y < 0 decodes a logical one), and
-    its angle mod 2*pi.  Bits whose |y| falls below ``erasure_floor`` (>= 0)
-    times the mean |y| are flagged as erasures (decision still emitted).
+    its angle mod 2*pi.  Bits whose |y| falls below 0.1 times the mean |y|
+    are flagged as erasures (decision still emitted).
     """
-    if not 0.0 <= erasure_floor < math.inf:  # written so that NaN fails too
-        raise ConfigurationError(f"erasure_floor must be >= 0 and finite, got {erasure_floor}")
     r = config.ramp_samples
     z = _symbol_correlations(received, config, start_offset_samples, min_symbols=2, skip=r)
     z *= 2.0 / (config.amplitude * (config.samples_per_bit - 2 * r))
@@ -314,5 +294,5 @@ def dpsk_demodulate(
     decisions = (y < 0).astype(np.int64)
     mean_mag = float(np.abs(y).mean())
     normalized = np.abs(y) / mean_mag if mean_mag > 0 else np.zeros_like(y)
-    erasures = normalized < erasure_floor
+    erasures = normalized < 0.1
     return DemodTrace(y, np.angle(steps) % (2.0 * np.pi), decisions, erasures)

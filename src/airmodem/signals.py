@@ -1,4 +1,4 @@
-"""Waveform primitives: tone synthesis, power spectra, band power, signal arithmetic.
+"""Waveform primitives: tone synthesis, power spectra, band power.
 
 All operations are pure functions on immutable values and are safe to call
 concurrently.
@@ -25,7 +25,7 @@ class AudioSignal:
 
     ``samples`` has shape ``(n,)`` for mono or ``(2, n)`` for stereo (one row
     per channel).  Amplitudes are dimensionless, nominally within [-1, 1];
-    intermediate arithmetic (e.g. mixing) may exceed that range.
+    intermediate arithmetic may exceed that range.
     """
 
     samples: np.ndarray
@@ -63,14 +63,6 @@ class AudioSignal:
     @property
     def duration_seconds(self) -> float:
         return self.num_samples / self.sample_rate_hz
-
-    def channel(self, index: int) -> np.ndarray:
-        """Return one channel as a 1-D array (mono signals only have channel 0)."""
-        if self.samples.ndim == 1:
-            if index != 0:
-                raise IncompatibleSignalError("mono signal has only channel 0")
-            return self.samples
-        return self.samples[index]
 
     def mixdown(self) -> "AudioSignal":
         """Average the channels into a mono signal (already-mono passes through)."""
@@ -118,11 +110,10 @@ def generate_tone(
     num_samples: int,
     sample_rate_hz: int,
     amplitude: float = 1.0,
-    phase_rad: float = 0.0,
 ) -> AudioSignal:
     """Synthesize a mono cosine tone.
 
-    sample[k] = amplitude * cos(2*pi*freq_hz*k/sample_rate_hz + phase_rad)
+    sample[k] = amplitude * cos(2*pi*freq_hz*k/sample_rate_hz)
     """
     if sample_rate_hz <= 0:
         raise ConfigurationError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
@@ -135,7 +126,7 @@ def generate_tone(
     if num_samples < 1:
         raise ConfigurationError(f"num_samples must be >= 1, got {num_samples}")
     k = np.arange(num_samples)
-    samples = amplitude * np.cos(2.0 * np.pi * freq_hz * k / sample_rate_hz + phase_rad)
+    samples = amplitude * np.cos(2.0 * np.pi * freq_hz * k / sample_rate_hz)
     return AudioSignal(samples, sample_rate_hz)
 
 
@@ -189,31 +180,25 @@ def power_spectrum(signal: AudioSignal, fft_size: int, window: str = "rectangula
 
 
 def band_power(
-    spectrum: Spectrum,
-    f_lo_hz: float,
-    f_hi_hz: float,
-    excluded_freqs_hz=(),
-    exclusion_halfwidth_hz: float | None = None,
+    spectrum: Spectrum, f_lo_hz: float, f_hi_hz: float, excluded_freqs_hz=()
 ) -> float | np.ndarray:
     """Mean bin power over [f_lo_hz, f_hi_hz], skipping excluded carriers.
 
-    Bins within ``exclusion_halfwidth_hz`` of any excluded frequency are
-    ignored (default halfwidth: two bin widths, a guard band for spectral
-    leakage).  Returns 0.0 and emits :class:`EmptyBandWarning` if no bin
-    qualifies.  A spectrum whose ``bin_power`` holds one row per frame, as
-    :func:`framed_power` returns, gives an array with one mean per frame.
+    Bins within two bin widths of any excluded frequency are ignored, a guard
+    band for spectral leakage.  Returns 0.0 and emits :class:`EmptyBandWarning`
+    if no bin qualifies.  A spectrum whose ``bin_power`` holds one row per
+    frame, as :func:`framed_power` returns, gives an array with one mean per
+    frame.
     """
     nyquist = spectrum.source_sample_rate_hz / 2
     if not f_lo_hz < f_hi_hz <= nyquist:
         raise ConfigurationError(
             f"need f_lo < f_hi <= Nyquist ({nyquist}), got [{f_lo_hz}, {f_hi_hz}]"
         )
-    if exclusion_halfwidth_hz is None:
-        exclusion_halfwidth_hz = 2.0 * spectrum.bin_width_hz
     freqs = spectrum.bin_freq_hz
     mask = (freqs >= f_lo_hz) & (freqs <= f_hi_hz)
     for fc in excluded_freqs_hz:
-        mask &= np.abs(freqs - fc) > exclusion_halfwidth_hz
+        mask &= np.abs(freqs - fc) > 2.0 * spectrum.bin_width_hz
     if not mask.any():
         warnings.warn(
             f"no spectrum bins left in [{f_lo_hz}, {f_hi_hz}] after exclusions",
@@ -225,30 +210,3 @@ def band_power(
         # a contiguous copy keeps each row's sum in the same order as a 1-D mean
         means = np.ascontiguousarray(spectrum.bin_power[..., mask]).mean(axis=-1)
     return float(means) if means.ndim == 0 else means
-
-
-def mix(a: AudioSignal, b: AudioSignal, pad_shorter: bool = False) -> AudioSignal:
-    """Element-wise sum of two signals with equal rates and channel counts.
-
-    Unequal lengths are an error unless ``pad_shorter`` is set, in which case
-    the shorter signal is zero-padded.
-    """
-    if a.sample_rate_hz != b.sample_rate_hz:
-        raise IncompatibleSignalError(
-            f"sample rates differ: {a.sample_rate_hz} vs {b.sample_rate_hz}"
-        )
-    if a.channel_count != b.channel_count:
-        raise IncompatibleSignalError(
-            f"channel counts differ: {a.channel_count} vs {b.channel_count}"
-        )
-    xa, xb = a.samples, b.samples
-    if a.num_samples != b.num_samples:
-        if not pad_shorter:
-            raise IncompatibleSignalError(
-                f"lengths differ ({a.num_samples} vs {b.num_samples}); pass pad_shorter=True to pad"
-            )
-        n = max(a.num_samples, b.num_samples)
-        pad = [(0, 0)] * (xa.ndim - 1)
-        xa = np.pad(xa, pad + [(0, n - a.num_samples)])
-        xb = np.pad(xb, pad + [(0, n - b.num_samples)])
-    return AudioSignal(xa + xb, a.sample_rate_hz)

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClippingWarning, CorruptFileError, UnsupportedFormatError
+from .errors import (
+    ClippingWarning,
+    CorruptFileError,
+    IncompatibleSignalError,
+    UnsupportedFormatError,
+)
 from .signals import AudioSignal
 
 _PCM_TAG = 1
@@ -36,10 +41,13 @@ class WavSpec:
 def write_wav(signal: AudioSignal, path) -> None:
     """Write a signal as 16-bit PCM WAV (interleaved channels).
 
-    Samples outside [-1, 1] are clipped first; a ClippingWarning reports how
-    many.  Conversion is round(sample * 32767), which stays in int16 range.
+    A NaN or infinite sample raises IncompatibleSignalError.  Samples outside
+    [-1, 1] are clipped first; a ClippingWarning reports how many.  Conversion
+    is round(sample * 32767), which stays in int16 range.
     """
     samples = signal.samples if signal.channel_count == 2 else signal.samples[np.newaxis, :]
+    if not np.isfinite(samples).all():
+        raise IncompatibleSignalError(f"cannot write non-finite samples to {path}")
     clipped = np.clip(samples, -1.0, 1.0)
     clip_count = int(np.count_nonzero(clipped != samples))
     if clip_count:

@@ -15,14 +15,12 @@ from airmodem import (
     PskConfig,
     SyncNotFoundError,
     apply_transition_ramp,
-    bipolar,
     bpsk_demodulate_coherent,
     bpsk_modulate,
     correlate_delay,
     dpsk_demodulate,
     dpsk_encode,
     dpsk_modulate,
-    estimate_delay,
 )
 from airmodem.channel import ChannelSpec, NoiseSpec, apply_channel
 from airmodem.evaluate import run_trial
@@ -95,9 +93,6 @@ class TestPskConfig:
 
 
 class TestBipolarAndEncode:
-    def test_bipolar_mapping(self):
-        np.testing.assert_array_equal(bipolar([1, 0, 1]), [1.0, -1.0, 1.0])
-
     def test_encode_all_zeros(self):
         np.testing.assert_allclose(dpsk_encode([0, 0, 0]), [0, 0, 0, 0])
 
@@ -112,7 +107,9 @@ class TestBipolarAndEncode:
 
     def test_invalid_bits_rejected(self):
         with pytest.raises(ConfigurationError):
-            bipolar([0, 2])
+            bpsk_modulate([0, 2])
+        with pytest.raises(ConfigurationError):
+            dpsk_encode([0, 2])
 
 
 class TestBpskModulate:
@@ -294,6 +291,11 @@ class TestBpskDemodulate:
             bpsk_demodulate_coherent(
                 bpsk_modulate([1], cfg), cfg, delay_samples=400
             )
+
+
+def estimate_delay(received, header_bits, cfg, max_delay_samples):
+    """Header sync as a receiver runs it: correlate against the modulated header."""
+    return correlate_delay(received, bpsk_modulate(header_bits, cfg), max_delay_samples)
 
 
 class TestEstimateDelay:
@@ -590,12 +592,6 @@ class TestDpskDemodulate:
         cfg = PskConfig()
         with pytest.raises(InsufficientDataError):
             dpsk_demodulate(AudioSignal(np.zeros(900), 96000), cfg)
-
-    @pytest.mark.parametrize("floor", [math.nan, -0.1, math.inf])
-    def test_erasure_floor_must_be_non_negative_and_finite(self, floor):
-        cfg = PskConfig()
-        with pytest.raises(ConfigurationError):
-            dpsk_demodulate(dpsk_modulate([1, 0, 1], cfg), cfg, erasure_floor=floor)
 
     def test_non_integer_cycles_per_bit_scores_like_integer(self):
         # at 44.1 kHz a 200 bps bit holds 95.78 carrier cycles; 96 kHz holds 96

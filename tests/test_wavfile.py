@@ -9,6 +9,7 @@ from airmodem import (
     AudioSignal,
     ClippingWarning,
     CorruptFileError,
+    IncompatibleSignalError,
     UnsupportedFormatError,
     generate_tone,
     read_wav,
@@ -90,6 +91,13 @@ class TestWriteWav:
             write_wav(AudioSignal([0.0, 1.5, -2.0], 44100), path)
         signal, _ = read_wav(path)
         np.testing.assert_allclose(signal.samples, [0.0, 1.0, -1.0], atol=1e-4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.wav"
+        with pytest.raises(IncompatibleSignalError):
+            write_wav(AudioSignal([0.5, bad], 44100), path)
+        assert not path.exists()
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
