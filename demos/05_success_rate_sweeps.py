@@ -4,9 +4,10 @@
 #
 # Each point runs seeded 800-bit trials (4 s of audio at 200 bps) through the
 # simulated channel; means and standard deviations are taken over the trials.
-# The bit-rate sweep holds the noise *level* fixed at the value calibrated
-# for the base rate: the room does not get quieter when the sender slows
-# down, and a longer integration window is what buys the accuracy back.
+# The bit-rate sweep holds the noise *level* fixed: each trial's noise is
+# calibrated so that the same payload sent at the base rate would see exactly
+# 10 dB.  The room does not get quieter when the sender slows down, and a
+# longer integration window is what buys the accuracy back.
 ##############################################################################
 
 from airmodem import ChannelSpec, NoiseSpec

@@ -7,12 +7,12 @@ driven by the spec's seed, so identical inputs give identical outputs.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, IncompatibleSignalError, InsufficientDataError
-from .signals import AudioSignal
+from .signals import AudioSignal, _fft_length
 
 NOISE_KINDS = ("white", "lowpass_music", "lowpass_voice", "broadband_jangle")
 SNR_FFT_SIZE = 4096
@@ -24,15 +24,19 @@ class NoiseSpec:
 
     ``snr_db_at_carrier`` is defined as 10*log10(signal bin power / noise bin
     power) at the FFT bin nearest ``carrier_hz``, averaged over 4096-point
-    frames.  When ``fixed_scale`` is set the calibration is skipped and the
-    unit-RMS noise is multiplied by that scale instead; useful for sweeps
-    that hold the noise environment constant while the signal changes.
+    frames.  When ``reference_bin_power`` is set, the noise is calibrated
+    against that carrier-bin power instead of the capture's own: a bit-rate
+    sweep passes the base-rate capture's power, so every rate hears the noise
+    level that gives the base rate the requested SNR.  When ``fixed_scale``
+    is set the calibration is skipped and the unit-RMS noise is multiplied
+    by that scale instead; it wins over ``reference_bin_power``.
     """
 
     kind: str
     snr_db_at_carrier: float
     carrier_hz: float
     fixed_scale: float | None = None
+    reference_bin_power: float | None = None
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
@@ -45,10 +49,10 @@ class NoiseSpec:
             raise ConfigurationError(
                 f"carrier_hz must be positive and finite, got {self.carrier_hz}"
             )
-        if self.fixed_scale is not None and not 0 <= self.fixed_scale < math.inf:
-            raise ConfigurationError(
-                f"fixed_scale must be >= 0 and finite, got {self.fixed_scale}"
-            )
+        for name in ("fixed_scale", "reference_bin_power"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ConfigurationError(f"{name} must be >= 0 and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -87,18 +91,6 @@ class ChannelResult:
     @property
     def clipping_warning(self) -> bool:
         return self.clip_fraction > 0.01
-
-
-def _fft_length(n: int) -> int:
-    """Smallest even 2^a * 3^b * 5^c >= ``n``: a fast numpy FFT length with a Nyquist bin."""
-    best, p5 = 2 << (n - 1).bit_length(), 1  # twice the next power of two: an upper bound
-    while p5 < n:
-        p35 = p5
-        while p35 < n:  # p35 * 2^a with a >= 1 and ceil(n / p35) <= 2^a
-            best = min(best, p35 << max(1, (-(-n // p35) - 1).bit_length()))
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def synth_noise(kind: str, num_samples: int, sample_rate_hz: int, seed: int) -> AudioSignal:
@@ -140,7 +132,7 @@ def synth_noise(kind: str, num_samples: int, sample_rate_hz: int, seed: int) -> 
         samples = np.fft.irfft(spectrum, m)[:num_samples]
     rms = math.sqrt(float(np.mean(samples**2)))
     if rms > 0:
-        samples = samples / rms
+        samples /= rms
     return AudioSignal(samples, sample_rate_hz)
 
 
@@ -205,12 +197,21 @@ def _capture(signal: AudioSignal, spec: ChannelSpec):
     unit = synth_noise(spec.noise.kind, x.size, signal.sample_rate_hz, spec.seed).samples
     if spec.noise.fixed_scale is not None:
         return x, unit, spec.noise.fixed_scale
-    signal_bin = _mean_bin_power(x, signal.sample_rate_hz, spec.noise.carrier_hz)
+    signal_bin = spec.noise.reference_bin_power
+    if signal_bin is None:
+        signal_bin = _mean_bin_power(x, signal.sample_rate_hz, spec.noise.carrier_hz)
     noise_bin = _mean_bin_power(unit, signal.sample_rate_hz, spec.noise.carrier_hz)
     if signal_bin == 0.0 or noise_bin == 0.0:
         return x, unit, 0.0  # SNR undefined against a silent component
     target = 10.0 ** (spec.noise.snr_db_at_carrier / 10.0)
     return x, unit, math.sqrt(signal_bin / (noise_bin * target))
+
+
+def _carrier_bin_power(signal: AudioSignal, spec: ChannelSpec) -> float:
+    """Carrier-bin power of ``signal``'s noiseless capture through ``spec``: the
+    ``reference_bin_power`` that calibrates other signals' noise against this one."""
+    x = _capture(signal, replace(spec, noise=None))[0]
+    return _mean_bin_power(x, signal.sample_rate_hz, spec.noise.carrier_hz)
 
 
 def apply_channel(signal: AudioSignal, spec: ChannelSpec) -> ChannelResult:

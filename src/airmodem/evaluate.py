@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fsk as _fsk
 from . import psk as _psk
-from .channel import ChannelSpec, _capture, apply_channel
+from .channel import ChannelSpec, _carrier_bin_power, apply_channel
 from .errors import (
     ConfigurationError,
     InsufficientDataError,
@@ -195,17 +195,6 @@ def _derive_seed(base_seed: int, axis_index: int, trial_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _reference_noise_scale(scheme, payload_bits, channel, base_config) -> float | None:
-    """Noise scale calibrated against the base-rate signal for this trial.
-
-    Holding this scale fixed across a bit-rate sweep models a constant noise
-    environment: the background does not get quieter because the transmitter
-    slowed down.  It is read without adding or clipping the noise.
-    """
-    payload = _trial_payload(payload_bits, channel)
-    return _capture(_SCHEMES[scheme].modulate(payload, base_config), channel)[2]
-
-
 def sweep(
     scheme: str,
     axis: str,
@@ -221,8 +210,11 @@ def sweep(
     Per-trial seeds derive from (base seed, axis index, trial index), so runs
     are reproducible bit-for-bit and trials could execute in parallel without
     changing the result.  Axis points with invalid configurations are flagged
-    rather than skipped.  Sweeping ``bit_rate_bps`` keeps the noise level
-    fixed at the value calibrated for the base configuration's bit rate.
+    rather than skipped.  Sweeping ``bit_rate_bps`` holds the noise level
+    fixed: each trial's noise is calibrated against the carrier-bin power of
+    the same payload sent at the base configuration's rate, so the base rate
+    would see exactly the requested SNR and slower rates keep their
+    integration gain (the room does not get quieter when the sender slows).
     """
     entry = _lookup_scheme(scheme, sync)
     if axis not in SWEEP_AXES:
@@ -257,9 +249,10 @@ def sweep(
                     noise=replace(trial_channel.noise, snr_db_at_carrier=float(value)),
                 )
             elif base_channel.noise is not None:
-                scale = _reference_noise_scale(scheme, payload_bits, trial_channel, base_config)
+                payload = _trial_payload(payload_bits, trial_channel)
+                power = _carrier_bin_power(entry.modulate(payload, base_config), trial_channel)
                 trial_channel = replace(
-                    trial_channel, noise=replace(trial_channel.noise, fixed_scale=scale)
+                    trial_channel, noise=replace(trial_channel.noise, reference_bin_power=power)
                 )
             report = run_trial(scheme, payload_bits, trial_channel, config, sync=sync)
             btsrs.append(report.btsr)

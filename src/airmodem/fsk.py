@@ -178,9 +178,10 @@ def fsk_demodulate(signal: AudioSignal, config: FskConfig = FskConfig()) -> FskD
 
     Stereo input is averaged to mono first (a single microphone hears both
     speaker channels).  A frame whose single active clock carrier differs
-    from the last unambiguous clock state marks a transition and samples the
-    data carrier in that same frame; frames with zero or two active data
-    carriers at a transition emit no bit and are flagged as erasures.
+    from the last unambiguous clock state marks a transition and arms the
+    sampler: the first frame of that clock state with exactly one active
+    data carrier supplies the bit, and armed frames with zero or two active
+    data carriers emit no bit and are flagged as erasures.
     """
     freqs = np.fft.rfftfreq(config.fft_size, 1.0 / signal.sample_rate_hz)
     power = framed_power(signal.mixdown().samples, config.fft_size)
@@ -188,24 +189,27 @@ def fsk_demodulate(signal: AudioSignal, config: FskConfig = FskConfig()) -> FskD
     bits = []
     erasures = []
     last_clock = None
-    saw_clock = False
+    armed = False
     for detection in detections:
         clocks = detection.active_carriers & {"clock0", "clock1"}
         if len(clocks) != 1:
             continue  # ambiguous or absent clock: hold the previous state
-        saw_clock = True
         clock = next(iter(clocks))
-        if clock == last_clock:
+        if clock != last_clock:
+            # every clock change arms the sampler, also after a bit that no
+            # frame could read, so that bit does not take the next one with it
+            last_clock, armed = clock, True
+        if not armed:
             continue
         data = detection.active_carriers & {"data0", "data1"}
         if len(data) == 1:
             bits.append(1 if "data1" in data else 0)
-            last_clock = clock
+            armed = False
         else:
-            # transition with an unreadable data carrier: flag the erasure but
-            # keep the sampler armed so the next clean frame of the same bit
-            # can still supply it (boundary-straddling frames read half-half)
+            # unreadable data carrier: flag the erasure but stay armed so the
+            # next clean frame of the same bit can still supply it
+            # (boundary-straddling frames read half-half)
             erasures.append(detection.frame_index)
-    if not saw_clock:
+    if last_clock is None:
         raise NoClockError("no unambiguous clock carrier detected in any frame")
     return FskDemodResult(np.asarray(bits, dtype=np.int64), detections, erasures)

@@ -19,7 +19,7 @@ from .errors import (
     NyquistViolationError,
     SyncNotFoundError,
 )
-from .signals import AudioSignal, _as_bits
+from .signals import AudioSignal, _as_bits, _fft_length
 
 DEFAULT_HEADER_BITS = (1, 0) * 8  # alternating sync pattern, 16 bits
 
@@ -225,8 +225,8 @@ def correlate_delay(received: AudioSignal, template: AudioSignal, max_delay_samp
         )
     max_delay_samples = min(max_delay_samples, received.num_samples - length)
     seg = received.samples[: length + max_delay_samples]
-    # next power of two >= seg.size, so no lag in [0, max_delay] wraps around
-    n = 1 << (seg.size - 1).bit_length()
+    # a fast length >= seg.size, so no lag in [0, max_delay] wraps around
+    n = _fft_length(seg.size)
     dots = np.fft.irfft(np.fft.rfft(seg, n) * np.conj(np.fft.rfft(t, n)), n)
     dots = dots[: max_delay_samples + 1]
     cumsq = np.concatenate(([0.0], np.cumsum(seg * seg)))

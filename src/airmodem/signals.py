@@ -95,6 +95,18 @@ class Spectrum:
         return int(round(freq_hz / self.bin_width_hz))
 
 
+def _fft_length(n: int) -> int:
+    """Smallest even 2^a * 3^b * 5^c >= ``n``: a fast numpy FFT length with a Nyquist bin."""
+    best, p5 = 2 << (n - 1).bit_length(), 1  # twice the next power of two: an upper bound
+    while p5 < n:
+        p35 = p5
+        while p35 < n:  # p35 * 2^a with a >= 1 and ceil(n / p35) <= 2^a
+            best = min(best, p35 << max(1, (-(-n // p35) - 1).bit_length()))
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _as_bits(bits) -> np.ndarray:
     """``bits`` as a non-empty 1-D int64 array of zeros and ones."""
     arr = np.asarray(bits, dtype=np.int64)

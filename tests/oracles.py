@@ -5,7 +5,8 @@ direct O(N^2) DFT, the phase oracle is plain quadrature correlation, the
 correlation oracle takes one dot product per delay, the ramp oracle loops
 over boundaries and the PSK oracles evaluate the carrier at every sample, so
 they can vouch for the fast implementations.  The channel oracle builds the
-capture step by step, one new array per step.  The WAV oracle packs the
+capture step by step, one new array per step, and calibrates against the
+spec's reference power when it names one.  The WAV oracle packs the
 44-byte PCM header field by field with ``struct``.
 """
 
@@ -149,7 +150,9 @@ def concat_apply_channel(signal, spec):
         if spec.noise.fixed_scale is not None:
             noise_scale = spec.noise.fixed_scale
         else:
-            signal_bin = _mean_bin_power(x, fs, spec.noise.carrier_hz)
+            signal_bin = spec.noise.reference_bin_power
+            if signal_bin is None:
+                signal_bin = _mean_bin_power(x, fs, spec.noise.carrier_hz)
             noise_bin = _mean_bin_power(unit, fs, spec.noise.carrier_hz)
             if signal_bin == 0.0 or noise_bin == 0.0:
                 noise_scale = 0.0

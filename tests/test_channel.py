@@ -1,6 +1,7 @@
 """Tests for the simulated acoustic channel and synthetic noise profiles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from airmodem import (
     power_spectrum,
     synth_noise,
 )
-from airmodem.channel import NOISE_KINDS, SNR_FFT_SIZE, _fft_length, _mean_bin_power
-from airmodem.evaluate import _SCHEMES, _reference_noise_scale, _trial_payload
-from airmodem.signals import framed_power
+from airmodem.channel import NOISE_KINDS, SNR_FFT_SIZE, _mean_bin_power
+from airmodem.evaluate import _SCHEMES, _trial_payload, sweep
+from airmodem.signals import _fft_length, framed_power
 from oracles import concat_apply_channel
 
 RNG_SEED = 99
@@ -73,8 +74,14 @@ class TestSpecs:
         with pytest.raises(ConfigurationError):
             NoiseSpec(kind="white", snr_db_at_carrier=10.0, carrier_hz=19200.0, fixed_scale=-1.0)
 
+    def test_negative_reference_bin_power_rejected(self):
+        with pytest.raises(ConfigurationError):
+            NoiseSpec("white", 10.0, 19200.0, reference_bin_power=-1e-6)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("field", ["snr_db_at_carrier", "carrier_hz", "fixed_scale", "gain"])
+    @pytest.mark.parametrize(
+        "field", ["snr_db_at_carrier", "carrier_hz", "fixed_scale", "reference_bin_power", "gain"]
+    )
     def test_non_finite_values_rejected(self, field, value):
         noise = {"kind": "white", "snr_db_at_carrier": 10.0, "carrier_hz": 19200.0}
         with pytest.raises(ConfigurationError):
@@ -188,6 +195,7 @@ class TestApplyChannelMatchesOracle:
         "fixed_scale": NoiseSpec("white", 99.0, 18500.0, fixed_scale=0.3),
         "calibrated": NoiseSpec("white", 6.0, 18500.0),
         "silent_scale": NoiseSpec("white", 6.0, 18500.0, fixed_scale=0.0),
+        "reference": NoiseSpec("white", 6.0, 18500.0, reference_bin_power=0.01),
     }
 
     def _check(self, signal, spec):
@@ -221,13 +229,32 @@ class TestApplyChannelMatchesOracle:
 
     @pytest.mark.parametrize("kind", ["white", "lowpass_voice"])
     @pytest.mark.parametrize("scheme", sorted(_SCHEMES))
-    def test_reference_noise_scale_is_the_channel_scale(self, scheme, kind):
-        config = _SCHEMES[scheme].config_class()
-        noise = NoiseSpec(kind, 12.0, _SCHEMES[scheme].noise_carrier_hz(config))
-        channel = ChannelSpec(delay_samples=321, gain=0.8, noise=noise, seed=17)
-        signal = _SCHEMES[scheme].modulate(_trial_payload(24, channel), config)
-        expected = apply_channel(signal, channel).noise_scale
-        assert _reference_noise_scale(scheme, 24, channel, config) == expected
+    def test_reference_noise_scale_is_the_channel_scale(self, scheme, kind, monkeypatch):
+        # a bit-rate trial's reference is the carrier-bin power of its payload's
+        # base-rate capture, and the channel scales the trial's own noise to it
+        entry = _SCHEMES[scheme]
+        config = entry.config_class()
+        carrier = entry.noise_carrier_hz(config)
+        channel = ChannelSpec(321, 0.8, NoiseSpec(kind, 12.0, carrier), seed=17)
+        calls = []
+
+        def recording_channel(signal, spec):
+            calls.append((spec, apply_channel(signal, spec)))
+            return calls[-1][1]
+
+        monkeypatch.setattr("airmodem.evaluate.apply_channel", recording_channel)
+        sweep(scheme, "bit_rate_bps", [config.bit_rate_bps / 2], 2, channel, config, 24)
+        assert len(calls) == 2
+        for spec, result in calls:
+            base = entry.modulate(_trial_payload(24, spec), config)
+            fs = base.sample_rate_hz
+            reference = _mean_bin_power(
+                concat_apply_channel(base, replace(spec, noise=None))[0], fs, carrier
+            )
+            assert spec.noise.reference_bin_power == reference
+            unit = synth_noise(kind, result.signal.num_samples, fs, spec.seed).samples
+            unit_bin = _mean_bin_power(unit, fs, carrier)
+            assert result.noise_scale == math.sqrt(reference / (unit_bin * 10.0 ** 1.2))
 
 
 class TestSynthNoise:

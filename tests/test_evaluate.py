@@ -5,8 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from airmodem import ChannelSpec, ConfigurationError, FskConfig, NoiseSpec, PskConfig
+from airmodem import (
+    AudioSignal,
+    ChannelSpec,
+    ConfigurationError,
+    FskConfig,
+    NoiseSpec,
+    PskConfig,
+    apply_channel,
+    dpsk_modulate,
+    measure_snr_at,
+    synth_noise,
+)
 from airmodem.evaluate import (
+    _trial_payload,
     ber_estimate_from_btsr,
     compute_btsr,
     random_bits,
@@ -187,9 +199,30 @@ class TestSweep:
         assert len(fields[2].split(".")[1]) == 6
         assert fields[4] == "2"
 
+    def test_bitrate_trial_noise_gives_the_base_rate_the_requested_snr(self, monkeypatch):
+        # the noise a bit-rate trial actually adds, against the same payload
+        # sent at the base rate through the noiseless channel, is at the SNR asked for
+        calls = []
+
+        def recording_channel(signal, spec):
+            calls.append((spec, apply_channel(signal, spec)))
+            return calls[-1][1]
+
+        monkeypatch.setattr("airmodem.evaluate.apply_channel", recording_channel)
+        for seed in range(4):
+            channel = ChannelSpec(321, noise=NoiseSpec("white", 10.0, 19200.0), seed=seed)
+            sweep("dpsk", "bit_rate_bps", [50.0, 400.0], 2, channel, payload_bits=200)
+        assert len(calls) == 16
+        for spec, result in calls:
+            base = dpsk_modulate(_trial_payload(200, spec)).samples
+            capture = AudioSignal(np.concatenate([np.zeros(321), base]), 96000)
+            unit = synth_noise("white", result.signal.num_samples, 96000, spec.seed)
+            noise = AudioSignal(result.noise_scale * unit.samples, 96000)
+            assert measure_snr_at(capture, noise, 19200.0) == pytest.approx(10.0, abs=1e-9)
+
     def test_bitrate_sweep_holds_noise_level_fixed(self):
-        # the per-trial noise scale must come from the base bit rate, so the
-        # same trial index gets the same scale at every axis point
+        # the per-trial noise level is calibrated against the base bit rate,
+        # so slower rates keep their integration gain
         channel = ChannelSpec(noise=NoiseSpec("white", 10.0, 19200.0), seed=5)
         result = sweep("dpsk", "bit_rate_bps", [50.0, 400.0], 4, channel, payload_bits=200)
         assert result.valid.all()

@@ -257,11 +257,6 @@ class TestFskDemodulate:
         assert result.bits.size == 0
         assert len(result.erasure_frame_indices) >= 1
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="an unreadable bit leaves the sampler on the previous bit's clock, so "
-        "the next bit's clock looks unchanged and is skipped too (ROADMAP item 6)",
-    )
     def test_unreadable_bit_loses_only_itself(self):
         cfg = FskConfig()
         spb = cfg.samples_per_bit
