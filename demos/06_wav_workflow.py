@@ -10,13 +10,13 @@ import numpy as np
 from airmodem import (
     AudioSignal,
     ChannelSpec,
-    NoiseSpec,
     PskConfig,
     apply_channel,
     correlate_delay,
     dpsk_demodulate,
     dpsk_modulate,
     read_wav,
+    synth_noise,
     write_wav,
 )
 
@@ -34,22 +34,22 @@ print(f"wrote demo06_burst.wav ({burst.duration_seconds:.3f} s at "
 
 ## 'microphone': delay, attenuation, cafe chatter, then a WAV capture.
 ## The chatter is set to a fixed loudness (RMS 0.25, about half the signal's)
-## rather than a carrier-bin SNR: conversation is loud broadband but has
-## almost no power left at 19.2 kHz, so the link barely notices it.
+## rather than a carrier-bin SNR, so it is added here to the noiseless channel
+## output: conversation is loud broadband but has almost no power left at
+## 19.2 kHz, so the link barely notices it.
 
-channel = ChannelSpec(
-    delay_samples=1234, gain=0.6,
-    noise=NoiseSpec("lowpass_voice", 0.0, config.carrier_hz, fixed_scale=0.25), seed=8,
-)
-padded = AudioSignal(np.concatenate([burst.samples, np.zeros(9600)]), config.sample_rate_hz)
-capture = apply_channel(padded, channel)
-write_wav(capture.signal, "demo06_capture.wav")
-print(f"wrote demo06_capture.wav (clipped {capture.clip_count} samples)")
+fs = config.sample_rate_hz
+padded = AudioSignal(np.concatenate([burst.samples, np.zeros(9600)]), fs)
+quiet = apply_channel(padded, ChannelSpec(delay_samples=1234, gain=0.6)).signal.samples
+noisy = quiet + 0.25 * synth_noise("lowpass_voice", quiet.size, fs, seed=8).samples
+capture = np.clip(noisy, -1.0, 1.0)
+write_wav(AudioSignal(capture, fs), "demo06_capture.wav")
+print(f"wrote demo06_capture.wav (clipped {np.count_nonzero(capture != noisy)} samples)")
 
 ## receiver: locate the header by correlation, then demodulate
 
-recording, spec = read_wav("demo06_capture.wav")
-print(f"read capture: {recording.num_samples} samples at {spec.sample_rate_hz} Hz")
+recording = read_wav("demo06_capture.wav")
+print(f"read capture: {recording.num_samples} samples at {recording.sample_rate_hz} Hz")
 
 template = dpsk_modulate(header, config)
 offset = correlate_delay(recording, template, max_delay_samples=4800)

@@ -63,7 +63,7 @@ from .psk import (
     dpsk_modulate,
 )
 from .signals import AudioSignal, Spectrum, band_power, generate_tone, power_spectrum
-from .wavfile import WavSpec, read_wav, write_wav
+from .wavfile import read_wav, write_wav
 
 __version__ = "0.1.0"
 

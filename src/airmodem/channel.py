@@ -14,7 +14,14 @@ import numpy as np
 from .errors import ConfigurationError, IncompatibleSignalError, InsufficientDataError
 from .signals import AudioSignal, _fft_length
 
-NOISE_KINDS = ("white", "lowpass_music", "lowpass_voice", "broadband_jangle")
+# kind -> (corner_hz, order) of its gain 1 / (1 + (f/corner)^2)^order; white has none
+_NOISE_GAINS = {
+    "white": None,
+    "lowpass_music": (4000.0, 1.0),
+    "lowpass_voice": (2000.0, 1.0),
+    "broadband_jangle": (30000.0, 0.5),  # metallic wideband rattle, slight rolloff
+}
+NOISE_KINDS = tuple(_NOISE_GAINS)
 SNR_FFT_SIZE = 4096
 
 
@@ -26,16 +33,14 @@ class NoiseSpec:
     power) at the FFT bin nearest ``carrier_hz``, averaged over 4096-point
     frames.  When ``reference_bin_power`` is set, the noise is calibrated
     against that carrier-bin power instead of the capture's own: a bit-rate
-    sweep passes the base-rate capture's power, so every rate hears the noise
-    level that gives the base rate the requested SNR.  When ``fixed_scale``
-    is set the calibration is skipped and the unit-RMS noise is multiplied
-    by that scale instead; it wins over ``reference_bin_power``.
+    sweep passes the power of the trial's on-air bits sent at the base rate,
+    so every rate hears the noise level that gives the base rate the
+    requested SNR.
     """
 
     kind: str
     snr_db_at_carrier: float
     carrier_hz: float
-    fixed_scale: float | None = None
     reference_bin_power: float | None = None
 
     def __post_init__(self):
@@ -49,10 +54,9 @@ class NoiseSpec:
             raise ConfigurationError(
                 f"carrier_hz must be positive and finite, got {self.carrier_hz}"
             )
-        for name in ("fixed_scale", "reference_bin_power"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
-                raise ConfigurationError(f"{name} must be >= 0 and finite, got {value}")
+        power = self.reference_bin_power
+        if power is not None and not 0 <= power < math.inf:
+            raise ConfigurationError(f"reference_bin_power must be >= 0 and finite, got {power}")
 
 
 @dataclass(frozen=True)
@@ -78,19 +82,14 @@ class ChannelResult:
     """Channel output plus clipping bookkeeping.
 
     ``noise_scale`` is the RMS multiplier applied to the unit noise (None when
-    the channel is noiseless); ``clipping_warning`` is set when more than 1%
-    of the output samples had to be clipped, meaning the requested SNR was not
-    achievable within the [-1, 1] range.
+    the channel is noiseless); ``clip_count`` and ``clip_fraction`` count the
+    output samples that had to be clipped into [-1, 1].
     """
 
     signal: AudioSignal
     clip_count: int
     clip_fraction: float
     noise_scale: float | None
-
-    @property
-    def clipping_warning(self) -> bool:
-        return self.clip_fraction > 0.01
 
 
 def synth_noise(kind: str, num_samples: int, sample_rate_hz: int, seed: int) -> AudioSignal:
@@ -118,14 +117,10 @@ def synth_noise(kind: str, num_samples: int, sample_rate_hz: int, seed: int) -> 
     if kind == "white":
         samples = rng.standard_normal(num_samples)
     else:
+        corner_hz, order = _NOISE_GAINS[kind]
         m = _fft_length(num_samples)
         freq = np.fft.rfftfreq(m, 1.0 / sample_rate_hz)
-        if kind == "lowpass_voice":
-            gain = 1.0 / (1.0 + (freq / 2000.0) ** 2)
-        elif kind == "lowpass_music":
-            gain = 1.0 / (1.0 + (freq / 4000.0) ** 2)
-        else:  # broadband_jangle: metallic wideband rattle, slight rolloff
-            gain = 1.0 / np.sqrt(1.0 + (freq / 30000.0) ** 2)
+        gain = 1.0 / (1.0 + (freq / corner_hz) ** 2) ** order
         spectrum = rng.standard_normal(m + 2).view(np.complex128)
         spectrum[[0, -1]] = math.sqrt(2.0) * spectrum[[0, -1]].real
         spectrum *= gain
@@ -195,8 +190,6 @@ def _capture(signal: AudioSignal, spec: ChannelSpec):
     if spec.noise is None:
         return x, None, None
     unit = synth_noise(spec.noise.kind, x.size, signal.sample_rate_hz, spec.seed).samples
-    if spec.noise.fixed_scale is not None:
-        return x, unit, spec.noise.fixed_scale
     signal_bin = spec.noise.reference_bin_power
     if signal_bin is None:
         signal_bin = _mean_bin_power(x, signal.sample_rate_hz, spec.noise.carrier_hz)

@@ -98,15 +98,15 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    signal, spec = wavfile.read_wav(args.infile)
-    if args.sample_rate is not None and args.sample_rate != spec.sample_rate_hz:
+    signal = wavfile.read_wav(args.infile)
+    if args.sample_rate is not None and args.sample_rate != signal.sample_rate_hz:
         raise ConfigurationError(
-            f"sample-rate mismatch: file has {spec.sample_rate_hz} Hz, "
+            f"sample-rate mismatch: file has {signal.sample_rate_hz} Hz, "
             f"--sample-rate requested {args.sample_rate} Hz"
         )
-    scheme, config = _build_config(args, sample_rate_hz=spec.sample_rate_hz)
+    scheme, config = _build_config(args, sample_rate_hz=signal.sample_rate_hz)
     header = parse_payload(args.header_bits)
-    if args.sync != "header" or not scheme.header_sync:
+    if args.sync != "header":
         header = header[:0]
     bits, _erasures, trace = scheme.receive(signal, config, args.offset, header, args.max_delay)
     print(_bits_to_string(bits))
@@ -176,8 +176,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    signal, _spec = wavfile.read_wav(args.infile)
-    mono = signal.mixdown()
+    mono = wavfile.read_wav(args.infile).mixdown()
     mean_power = framed_power(mono.samples, args.fft_size, args.window).mean(axis=0)
     freqs = np.fft.rfftfreq(args.fft_size, 1.0 / mono.sample_rate_hz)
     print("freq_hz,power")

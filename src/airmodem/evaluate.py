@@ -138,13 +138,17 @@ def ber_estimate_from_btsr(btsr: float, num_bits: int) -> float:
 
 def random_bits(num_bits: int, seed) -> np.ndarray:
     """Deterministic random payload for a trial seed (or Generator)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.integers(0, 2, size=num_bits, dtype=np.int64)
+    return np.random.default_rng(seed).integers(0, 2, size=num_bits, dtype=np.int64)
 
 
-def _trial_payload(num_bits: int, channel: ChannelSpec) -> np.ndarray:
+def _trial_bits(entry: _Scheme, sync: str, num_bits: int, channel: ChannelSpec):
+    """``(payload, header, on_air)``: a trial's random payload, its header
+    (empty unless it syncs on one) and the bits it sends, header first."""
     # payload stream kept distinct from the channel's noise stream
-    return random_bits(num_bits, np.random.default_rng([channel.seed, 1]))
+    payload = random_bits(num_bits, np.random.default_rng([channel.seed, 1]))
+    use_header = sync == "header" and entry.header_sync
+    header = np.asarray(_psk.DEFAULT_HEADER_BITS if use_header else (), dtype=np.int64)
+    return payload, header, np.concatenate([header, payload])
 
 
 def run_trial(
@@ -167,11 +171,9 @@ def run_trial(
     entry = _lookup_scheme(scheme, sync)
     if payload_bits < 1:
         raise ConfigurationError(f"payload_bits must be >= 1, got {payload_bits}")
-    payload = _trial_payload(payload_bits, channel)
+    payload, header, on_air = _trial_bits(entry, sync, payload_bits, channel)
     config = config if config is not None else entry.config_class()
-    use_header = sync == "header" and entry.header_sync
-    header = np.asarray(_psk.DEFAULT_HEADER_BITS if use_header else (), dtype=np.int64)
-    out = apply_channel(entry.modulate(np.concatenate([header, payload]), config), channel)
+    out = apply_channel(entry.modulate(on_air, config), channel)
     received, erasure_count = np.array([], dtype=np.int64), 0
     try:
         received, erasure_count, _trace = entry.receive(
@@ -212,8 +214,9 @@ def sweep(
     changing the result.  Axis points with invalid configurations are flagged
     rather than skipped.  Sweeping ``bit_rate_bps`` holds the noise level
     fixed: each trial's noise is calibrated against the carrier-bin power of
-    the same payload sent at the base configuration's rate, so the base rate
-    would see exactly the requested SNR and slower rates keep their
+    the same on-air bits (header included under header sync) sent at the
+    base configuration's rate, so the base rate sees exactly the noise of
+    the ``snr_db`` point at the requested SNR, and slower rates keep their
     integration gain (the room does not get quieter when the sender slows).
     """
     entry = _lookup_scheme(scheme, sync)
@@ -249,8 +252,8 @@ def sweep(
                     noise=replace(trial_channel.noise, snr_db_at_carrier=float(value)),
                 )
             elif base_channel.noise is not None:
-                payload = _trial_payload(payload_bits, trial_channel)
-                power = _carrier_bin_power(entry.modulate(payload, base_config), trial_channel)
+                on_air = _trial_bits(entry, sync, payload_bits, trial_channel)[2]
+                power = _carrier_bin_power(entry.modulate(on_air, base_config), trial_channel)
                 trial_channel = replace(
                     trial_channel, noise=replace(trial_channel.noise, reference_bin_power=power)
                 )

@@ -48,9 +48,9 @@ class FskConfig:
     band_hi_hz: float = 19500.0
 
     def __post_init__(self):
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise ConfigurationError(
-                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"
+        if not 0 < self.sample_rate_hz < math.inf or self.sample_rate_hz % 1:
+            raise ConfigurationError(  # a fractional rate would mislabel the signal
+                f"sample_rate_hz must be a positive whole number, got {self.sample_rate_hz}"
             )
         if self.fft_size < 2 or self.fft_size & (self.fft_size - 1) != 0:
             raise ConfigurationError(f"fft_size must be a power of two, got {self.fft_size}")
@@ -138,7 +138,7 @@ def fsk_modulate(bits, config: FskConfig = FskConfig()) -> AudioSignal:
     return AudioSignal(np.take(tones, np.stack([bits, clock]), axis=0).reshape(2, -1), fs)
 
 
-def _detect(spectrum: Spectrum, config: FskConfig, first_frame_index: int) -> list:
+def _detect(spectrum: Spectrum, config: FskConfig) -> list:
     """The detection rule, applied to each frame (row) of ``spectrum.bin_power``."""
     freqs = config.carrier_freqs_hz
     power = np.atleast_2d(spectrum.bin_power)
@@ -149,7 +149,7 @@ def _detect(spectrum: Spectrum, config: FskConfig, first_frame_index: int) -> li
     active = np.where(floor > 0, peaks >= config.detection_ratio * floor, peaks > 0)
     return [
         CarrierDetection(
-            first_frame_index + row,
+            row,
             frozenset(name for name, on in zip(freqs, active[row]) if on),
             float(floor[row, 0]),
             dict(zip(freqs, peaks[row].tolist())),
@@ -159,18 +159,15 @@ def _detect(spectrum: Spectrum, config: FskConfig, first_frame_index: int) -> li
 
 
 def detect_carriers_in_spectrum(
-    spectrum: Spectrum, config: FskConfig = FskConfig(), frame_index: int = 0
+    spectrum: Spectrum, config: FskConfig = FskConfig()
 ) -> CarrierDetection:
     """Classify carrier activity in an already-computed power spectrum."""
-    return _detect(spectrum, config, frame_index)[0]
+    return _detect(spectrum, config)[0]
 
 
-def detect_carriers(
-    frame: AudioSignal, config: FskConfig = FskConfig(), frame_index: int = 0
-) -> CarrierDetection:
+def detect_carriers(frame: AudioSignal, config: FskConfig = FskConfig()) -> CarrierDetection:
     """Detect active carriers in the first fft_size samples of a mono frame."""
-    spectrum = power_spectrum(frame, config.fft_size)
-    return detect_carriers_in_spectrum(spectrum, config, frame_index)
+    return detect_carriers_in_spectrum(power_spectrum(frame, config.fft_size), config)
 
 
 def fsk_demodulate(signal: AudioSignal, config: FskConfig = FskConfig()) -> FskDemodResult:
@@ -185,7 +182,7 @@ def fsk_demodulate(signal: AudioSignal, config: FskConfig = FskConfig()) -> FskD
     """
     freqs = np.fft.rfftfreq(config.fft_size, 1.0 / signal.sample_rate_hz)
     power = framed_power(signal.mixdown().samples, config.fft_size)
-    detections = _detect(Spectrum(freqs, power, config.fft_size, signal.sample_rate_hz), config, 0)
+    detections = _detect(Spectrum(freqs, power, config.fft_size, signal.sample_rate_hz), config)
     bits = []
     erasures = []
     last_clock = None

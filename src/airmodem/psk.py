@@ -38,9 +38,9 @@ class PskConfig:
     ramp_fraction: float = 0.125
 
     def __post_init__(self):
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise ConfigurationError(
-                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"
+        if not 0 < self.sample_rate_hz < math.inf or self.sample_rate_hz % 1:
+            raise ConfigurationError(  # a fractional rate would mislabel the signal
+                f"sample_rate_hz must be a positive whole number, got {self.sample_rate_hz}"
             )
         if not 0.0 < self.carrier_hz < self.sample_rate_hz / 2:
             raise NyquistViolationError(
@@ -72,11 +72,6 @@ class PskConfig:
     @property
     def ramp_samples(self) -> int:
         return round(self.ramp_fraction * self.samples_per_bit)
-
-    @property
-    def carrier_cycles_per_bit(self) -> float:
-        """Carrier cycles per bit period."""
-        return self.carrier_hz * self.samples_per_bit / self.sample_rate_hz
 
 
 @dataclass(frozen=True)

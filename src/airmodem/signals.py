@@ -179,14 +179,11 @@ def framed_power(samples: np.ndarray, fft_size: int, window: str = "rectangular"
     return power
 
 
-def power_spectrum(signal: AudioSignal, fft_size: int, window: str = "rectangular") -> Spectrum:
-    """One-sided power spectrum of the first ``fft_size`` samples of a mono signal.
-
-    The rectangular window preserves the detection-friendly normalization
-    (unit tone on a bin -> 0.5); hann trades that for lower leakage and is
-    meant for reporting spectra.
-    """
-    power = framed_power(signal.samples[:fft_size], fft_size, window)[0]
+def power_spectrum(signal: AudioSignal, fft_size: int) -> Spectrum:
+    """One-sided power spectrum of the first ``fft_size`` samples of a mono
+    signal, unwindowed, so a unit tone on a bin reads 0.5 (detection uses
+    this normalization; :func:`framed_power` also offers a hann window)."""
+    power = framed_power(signal.samples[:fft_size], fft_size)[0]
     freqs = np.fft.rfftfreq(fft_size, 1.0 / signal.sample_rate_hz)
     return Spectrum(freqs, power, fft_size, signal.sample_rate_hz)
 

@@ -12,7 +12,6 @@ same path are undefined.
 import struct
 import warnings
 import wave
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +26,6 @@ from .signals import AudioSignal
 _PCM_TAG = 1
 _BITS_PER_SAMPLE = 16
 _SCALE = 32767.0
-
-
-@dataclass(frozen=True)
-class WavSpec:
-    """Format of a decoded WAV file (PCM integer, little-endian only)."""
-
-    sample_rate_hz: int
-    channel_count: int
-    bits_per_sample: int = _BITS_PER_SAMPLE
 
 
 def write_wav(signal: AudioSignal, path) -> None:
@@ -65,8 +55,9 @@ def write_wav(signal: AudioSignal, path) -> None:
         out.writeframes(pcm.T.tobytes())  # frame-major: L R L R ...
 
 
-def read_wav(path) -> tuple[AudioSignal, WavSpec]:
-    """Read a 16-bit PCM WAV into an AudioSignal scaled by 1/32767.
+def read_wav(path) -> AudioSignal:
+    """Read a 16-bit PCM WAV into an AudioSignal scaled by 1/32767, with the
+    file's sample rate and channel count.
 
     Non-PCM format tags and bit depths other than 16 raise
     UnsupportedFormatError; truncated or empty chunks raise CorruptFileError.
@@ -115,4 +106,4 @@ def read_wav(path) -> tuple[AudioSignal, WavSpec]:
     samples = np.frombuffer(data, dtype="<i2") / _SCALE
     if channels == 2:
         samples = samples.reshape(-1, 2).T
-    return AudioSignal(samples, sample_rate), WavSpec(sample_rate, channels)
+    return AudioSignal(samples, sample_rate)

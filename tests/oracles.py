@@ -147,18 +147,15 @@ def concat_apply_channel(signal, spec):
     noise_scale = None
     if spec.noise is not None:
         unit = synth_noise(spec.noise.kind, x.size, fs, spec.seed).samples
-        if spec.noise.fixed_scale is not None:
-            noise_scale = spec.noise.fixed_scale
+        signal_bin = spec.noise.reference_bin_power
+        if signal_bin is None:
+            signal_bin = _mean_bin_power(x, fs, spec.noise.carrier_hz)
+        noise_bin = _mean_bin_power(unit, fs, spec.noise.carrier_hz)
+        if signal_bin == 0.0 or noise_bin == 0.0:
+            noise_scale = 0.0
         else:
-            signal_bin = spec.noise.reference_bin_power
-            if signal_bin is None:
-                signal_bin = _mean_bin_power(x, fs, spec.noise.carrier_hz)
-            noise_bin = _mean_bin_power(unit, fs, spec.noise.carrier_hz)
-            if signal_bin == 0.0 or noise_bin == 0.0:
-                noise_scale = 0.0
-            else:
-                target = 10.0 ** (spec.noise.snr_db_at_carrier / 10.0)
-                noise_scale = math.sqrt(signal_bin / (noise_bin * target))
+            target = 10.0 ** (spec.noise.snr_db_at_carrier / 10.0)
+            noise_scale = math.sqrt(signal_bin / (noise_bin * target))
         x = x + noise_scale * unit
     clipped = np.clip(x, -1.0, 1.0)
     return clipped, int(np.count_nonzero(clipped != x)), noise_scale

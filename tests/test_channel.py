@@ -9,6 +9,7 @@ import pytest
 from airmodem import (
     AudioSignal,
     ChannelSpec,
+    DEFAULT_HEADER_BITS,
     ConfigurationError,
     IncompatibleSignalError,
     InsufficientDataError,
@@ -20,7 +21,7 @@ from airmodem import (
     synth_noise,
 )
 from airmodem.channel import NOISE_KINDS, SNR_FFT_SIZE, _mean_bin_power
-from airmodem.evaluate import _SCHEMES, _trial_payload, sweep
+from airmodem.evaluate import _SCHEMES, SYNC_MODES, _trial_bits, sweep
 from airmodem.signals import _fft_length, framed_power
 from oracles import concat_apply_channel
 
@@ -70,17 +71,13 @@ class TestSpecs:
         with pytest.raises(ConfigurationError):
             NoiseSpec(kind="pink", snr_db_at_carrier=10.0, carrier_hz=19200.0)
 
-    def test_negative_fixed_scale_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NoiseSpec(kind="white", snr_db_at_carrier=10.0, carrier_hz=19200.0, fixed_scale=-1.0)
-
     def test_negative_reference_bin_power_rejected(self):
         with pytest.raises(ConfigurationError):
             NoiseSpec("white", 10.0, 19200.0, reference_bin_power=-1e-6)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
-        "field", ["snr_db_at_carrier", "carrier_hz", "fixed_scale", "reference_bin_power", "gain"]
+        "field", ["snr_db_at_carrier", "carrier_hz", "reference_bin_power", "gain"]
     )
     def test_non_finite_values_rejected(self, field, value):
         noise = {"kind": "white", "snr_db_at_carrier": 10.0, "carrier_hz": 19200.0}
@@ -161,7 +158,7 @@ class TestApplyChannel:
         sig = generate_tone(19200, 9600, 96000, amplitude=0.9)
         result = apply_channel(sig, ChannelSpec(gain=2.0))
         assert result.clip_count > 0.05 * sig.num_samples
-        assert result.clipping_warning
+        assert result.clip_fraction > 0.01
         assert np.max(np.abs(result.signal.samples)) <= 1.0
 
     def test_stereo_mixes_down_to_mono(self):
@@ -174,27 +171,15 @@ class TestApplyChannel:
             result.signal.samples, (left.samples + right.samples) / 2, atol=1e-12
         )
 
-    def test_fixed_scale_skips_calibration(self):
-        sig = generate_tone(19200, 9600, 96000, amplitude=0.05)
-        spec = ChannelSpec(
-            noise=NoiseSpec("white", 99.0, 19200.0, fixed_scale=0.125), seed=RNG_SEED
-        )
-        result = apply_channel(sig, spec)
-        assert result.noise_scale == 0.125
-        unit = synth_noise("white", sig.num_samples, 96000, RNG_SEED).samples
-        np.testing.assert_allclose(
-            result.signal.samples, np.clip(sig.samples + 0.125 * unit, -1, 1), atol=1e-12
-        )
-
 
 class TestApplyChannelMatchesOracle:
     """Bitwise agreement with the step-by-step channel in tests/oracles.py."""
 
     NOISES = {
         "noiseless": None,
-        "fixed_scale": NoiseSpec("white", 99.0, 18500.0, fixed_scale=0.3),
         "calibrated": NoiseSpec("white", 6.0, 18500.0),
-        "silent_scale": NoiseSpec("white", 6.0, 18500.0, fixed_scale=0.0),
+        # a silent reference has no SNR to calibrate to: the noise scale is 0
+        "silent_scale": NoiseSpec("white", 6.0, 18500.0, reference_bin_power=0.0),
         "reference": NoiseSpec("white", 6.0, 18500.0, reference_bin_power=0.01),
     }
 
@@ -227,11 +212,13 @@ class TestApplyChannelMatchesOracle:
         result = self._check(signal, ChannelSpec(delay_samples=5, noise=self.NOISES[noise]))
         assert result.clip_count >= 1
 
+    @pytest.mark.parametrize("sync", SYNC_MODES)
     @pytest.mark.parametrize("kind", ["white", "lowpass_voice"])
     @pytest.mark.parametrize("scheme", sorted(_SCHEMES))
-    def test_reference_noise_scale_is_the_channel_scale(self, scheme, kind, monkeypatch):
-        # a bit-rate trial's reference is the carrier-bin power of its payload's
-        # base-rate capture, and the channel scales the trial's own noise to it
+    def test_reference_noise_scale_is_the_channel_scale(self, scheme, kind, sync, monkeypatch):
+        # a bit-rate trial's reference is the carrier-bin power of the base-rate
+        # capture of its on-air bits (header included under header sync), and
+        # the channel scales the trial's own noise to it
         entry = _SCHEMES[scheme]
         config = entry.config_class()
         carrier = entry.noise_carrier_hz(config)
@@ -243,10 +230,13 @@ class TestApplyChannelMatchesOracle:
             return calls[-1][1]
 
         monkeypatch.setattr("airmodem.evaluate.apply_channel", recording_channel)
-        sweep(scheme, "bit_rate_bps", [config.bit_rate_bps / 2], 2, channel, config, 24)
+        sweep(scheme, "bit_rate_bps", [config.bit_rate_bps / 2], 2, channel, config, 24, sync)
         assert len(calls) == 2
         for spec, result in calls:
-            base = entry.modulate(_trial_payload(24, spec), config)
+            bits = _trial_bits(entry, "known_delay", 24, spec)[0]  # the payload alone
+            if sync == "header" and scheme != "fsk":  # FSK is self-clocked: no header
+                bits = np.concatenate([DEFAULT_HEADER_BITS, bits])
+            base = entry.modulate(bits, config)
             fs = base.sample_rate_hz
             reference = _mean_bin_power(
                 concat_apply_channel(base, replace(spec, noise=None))[0], fs, carrier

@@ -65,16 +65,16 @@ class TestEncode:
         assert "8 bits" in stdout
         assert "4320 samples" in stdout
         assert "0.045000 s" in stdout
-        signal, spec = read_wav(out)
-        assert spec.sample_rate_hz == 96000
+        signal = read_wav(out)
+        assert signal.sample_rate_hz == 96000
         assert signal.num_samples == 4320
 
     def test_fsk_bit_payload_is_stereo(self, capsys, tmp_path):
         out = tmp_path / "fsk.wav"
         code, stdout, _ = run_cli(capsys, "encode", "fsk", "1010", str(out))
         assert code == 0
-        signal, spec = read_wav(out)
-        assert spec.channel_count == 2
+        signal = read_wav(out)
+        assert signal.channel_count == 2
         assert signal.num_samples == 4 * 11025
 
     def test_empty_payload_usage_error(self, capsys, tmp_path):

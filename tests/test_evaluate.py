@@ -18,7 +18,9 @@ from airmodem import (
     synth_noise,
 )
 from airmodem.evaluate import (
-    _trial_payload,
+    _SCHEMES,
+    SYNC_MODES,
+    _trial_bits,
     ber_estimate_from_btsr,
     compute_btsr,
     random_bits,
@@ -214,11 +216,31 @@ class TestSweep:
             sweep("dpsk", "bit_rate_bps", [50.0, 400.0], 2, channel, payload_bits=200)
         assert len(calls) == 16
         for spec, result in calls:
-            base = dpsk_modulate(_trial_payload(200, spec)).samples
+            base = dpsk_modulate(_trial_bits(_SCHEMES["dpsk"], "known_delay", 200, spec)[0]).samples
             capture = AudioSignal(np.concatenate([np.zeros(321), base]), 96000)
             unit = synth_noise("white", result.signal.num_samples, 96000, spec.seed)
             noise = AudioSignal(result.noise_scale * unit.samples, 96000)
             assert measure_snr_at(capture, noise, 19200.0) == pytest.approx(10.0, abs=1e-9)
+
+    @pytest.mark.parametrize("sync", SYNC_MODES)
+    @pytest.mark.parametrize("scheme", ["bpsk", "dpsk"])
+    def test_base_rate_point_equals_the_snr_point(self, scheme, sync, monkeypatch):
+        # at the base rate a bit-rate trial sends what the SNR trial sends,
+        # header included, so it must hear the same noise and score the same
+        scales = []
+
+        def recording_channel(signal, spec):
+            result = apply_channel(signal, spec)
+            scales.append(result.noise_scale)
+            return result
+
+        monkeypatch.setattr("airmodem.evaluate.apply_channel", recording_channel)
+        channel = ChannelSpec(321, noise=NoiseSpec("white", 3.0, 19200.0), seed=902)
+        by_snr = sweep(scheme, "snr_db", [3.0], 4, channel, payload_bits=200, sync=sync)
+        by_rate = sweep(scheme, "bit_rate_bps", [200.0], 4, channel, payload_bits=200, sync=sync)
+        assert scales[4:] == scales[:4]
+        np.testing.assert_array_equal(by_rate.mean_btsr, by_snr.mean_btsr)
+        np.testing.assert_array_equal(by_rate.std_btsr, by_snr.std_btsr)
 
     def test_bitrate_sweep_holds_noise_level_fixed(self):
         # the per-trial noise level is calibrated against the base bit rate,

@@ -1,6 +1,7 @@
 """Tests for dual-channel FSK modulation, carrier detection, demodulation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,15 @@ class TestFskConfig:
     def test_fft_size_power_of_two(self):
         with pytest.raises(ConfigurationError):
             FskConfig(fft_size=4000)
+
+    def test_fractional_sample_rate_rejected(self):
+        # the carriers would be synthesized at 44100.7 Hz on a signal labelled 44100
+        with pytest.raises(ConfigurationError):
+            FskConfig(sample_rate_hz=44100.7)
+
+    @pytest.mark.parametrize("rate", [44100.0, np.int64(44100)])
+    def test_integral_sample_rate_accepted(self, rate):
+        assert fsk_modulate([1], FskConfig(sample_rate_hz=rate)).sample_rate_hz == 44100
 
 
 class TestFskModulate:
@@ -316,7 +326,7 @@ class TestFskDemodulate:
         result = fsk_demodulate(AudioSignal(x, 44100), cfg)
         n = cfg.fft_size
         expected = [
-            detect_carriers(AudioSignal(x[i * n : (i + 1) * n], 44100), cfg, i)
+            replace(detect_carriers(AudioSignal(x[i * n : (i + 1) * n], 44100), cfg), frame_index=i)
             for i in range(x.size // n)
         ]
         assert result.detections == expected

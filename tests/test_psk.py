@@ -56,7 +56,7 @@ class TestPskConfig:
     def test_defaults(self):
         cfg = PskConfig()
         assert cfg.samples_per_bit == 480
-        assert cfg.carrier_cycles_per_bit == pytest.approx(96.0)
+        assert cfg.carrier_hz * cfg.samples_per_bit / cfg.sample_rate_hz == pytest.approx(96.0)
 
     def test_carrier_at_nyquist_rejected(self):
         with pytest.raises(NyquistViolationError):
@@ -75,6 +75,15 @@ class TestPskConfig:
     def test_sample_rate_must_be_positive_and_finite(self, rate):
         with pytest.raises(ConfigurationError):
             PskConfig(sample_rate_hz=rate)
+
+    def test_fractional_sample_rate_rejected(self):
+        # the carrier would be synthesized at 44100.7 Hz on a signal labelled 44100
+        with pytest.raises(ConfigurationError):
+            PskConfig(sample_rate_hz=44100.7)
+
+    @pytest.mark.parametrize("rate", [44100.0, np.int64(44100)])
+    def test_integral_sample_rate_accepted(self, rate):
+        assert dpsk_modulate([1, 0], PskConfig(sample_rate_hz=rate)).sample_rate_hz == 44100
 
     def test_amplitude_bounds(self):
         with pytest.raises(ConfigurationError):
@@ -603,7 +612,7 @@ class TestDpskDemodulate:
                 for seed in range(10)
             ])
 
-        assert PskConfig(sample_rate_hz=44100).carrier_cycles_per_bit % 1 > 0.5
+        assert 19200 * PskConfig(sample_rate_hz=44100).samples_per_bit / 44100 % 1 > 0.5
         assert mean_btsr(44100) >= mean_btsr(96000) - 0.01
 
     def test_trace_lengths_consistent(self):
@@ -632,7 +641,7 @@ ACCEPTED_RATES = [
 def test_noiseless_trial_exact_at_every_accepted_rate(scheme, rate, bit_rate):
     config = PskConfig(sample_rate_hz=rate, bit_rate_bps=bit_rate)
     report = run_trial(scheme, 50, ChannelSpec(delay_samples=777, seed=3), config)
-    assert report.btsr == 1.0, config.carrier_cycles_per_bit
+    assert report.btsr == 1.0
 
 
 # every sample rate at 200 bps and at the minimum of 8 samples per bit
