@@ -26,7 +26,8 @@ print(f"modulated: {signal.channel_count} channels x {signal.num_samples} sample
 
 channel = ChannelSpec(gain=0.5, noise=NoiseSpec("white", 30.0, config.data_freq1_hz), seed=1)
 received = apply_channel(signal, channel)
-print(f"channel: gain 0.5, 30 dB carrier-bin SNR, clipped {received.clip_count} samples")
+clipped = round(received.clip_fraction * received.signal.num_samples)
+print(f"channel: gain 0.5, 30 dB carrier-bin SNR, clipped {clipped} samples")
 
 ## demodulate and inspect the frame-by-frame detections
 

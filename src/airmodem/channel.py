@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, IncompatibleSignalError, InsufficientDataError
-from .signals import AudioSignal, _fft_length
+from .signals import AudioSignal, _check_sample_rate, _fft_length
 
 # kind -> (corner_hz, order) of its gain 1 / (1 + (f/corner)^2)^order; white has none
 _NOISE_GAINS = {
@@ -82,18 +82,17 @@ class ChannelResult:
     """Channel output plus clipping bookkeeping.
 
     ``noise_scale`` is the RMS multiplier applied to the unit noise (None when
-    the channel is noiseless); ``clip_count`` and ``clip_fraction`` count the
-    output samples that had to be clipped into [-1, 1].
+    the channel is noiseless); ``clip_fraction`` is the share of output samples
+    (NaN ones included) that had to be clipped into [-1, 1].
     """
 
     signal: AudioSignal
-    clip_count: int
     clip_fraction: float
     noise_scale: float | None
 
 
 def synth_noise(kind: str, num_samples: int, sample_rate_hz: int, seed: int) -> AudioSignal:
-    """Generate unit-RMS Gaussian noise with the named spectral shape.
+    """Unit-RMS Gaussian noise with the named spectral shape, at a whole sample rate.
 
     white: flat spectrum.  lowpass_voice / lowpass_music: rolled off above a
     2 kHz / 4 kHz corner steeply enough that at least 90% of the power sits
@@ -111,8 +110,7 @@ def synth_noise(kind: str, num_samples: int, sample_rate_hz: int, seed: int) -> 
         raise ConfigurationError(f"noise kind must be one of {NOISE_KINDS}, got {kind!r}")
     if not isinstance(num_samples, (int, np.integer)) or num_samples < 1:
         raise ConfigurationError(f"num_samples must be an integer >= 1, got {num_samples!r}")
-    if not sample_rate_hz >= 1:  # written so that NaN fails too
-        raise ConfigurationError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
+    _check_sample_rate(sample_rate_hz)
     rng = np.random.default_rng(seed)
     if kind == "white":
         samples = rng.standard_normal(num_samples)
@@ -213,16 +211,11 @@ def apply_channel(signal: AudioSignal, spec: ChannelSpec) -> ChannelResult:
     Stereo input is mixed down to mono first (one microphone hears both
     speakers), then delayed, scaled by the gain, and summed with calibrated
     noise in place; the result is clipped into the noise buffer, and the
-    clip count (NaN samples included) is reported.
+    clipped share (NaN samples included) is reported.
     """
     x, unit, noise_scale = _capture(signal, spec)
     if unit is not None:
         x += np.multiply(unit, noise_scale, out=unit)
     clipped = np.clip(x, -1.0, 1.0, out=unit)  # a new array when noiseless
-    clip_count = int(np.count_nonzero(clipped != x))
-    return ChannelResult(
-        AudioSignal(clipped, signal.sample_rate_hz),
-        clip_count,
-        clip_count / x.size,
-        noise_scale,
-    )
+    clip_fraction = int(np.count_nonzero(clipped != x)) / x.size
+    return ChannelResult(AudioSignal(clipped, signal.sample_rate_hz), clip_fraction, noise_scale)

@@ -74,7 +74,9 @@ def _build_config(args, sample_rate_hz: int | None = None):
     kwargs = {}
     for field, (flag, _kind) in _CONFIG_FLAGS.items():
         value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
-        if field in names and value is not None:
+        if value is not None:
+            if field not in names:
+                raise ConfigurationError(f"{flag} does not apply to {args.scheme}")
             kwargs[field] = value
     if sample_rate_hz is not None:
         kwargs["sample_rate_hz"] = sample_rate_hz

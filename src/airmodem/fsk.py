@@ -16,7 +16,9 @@ from .errors import ConfigurationError, NoClockError
 from .signals import (
     AudioSignal,
     Spectrum,
+    _Link,
     _as_bits,
+    _check_fft_size,
     band_power,
     framed_power,
     generate_tone,
@@ -27,7 +29,7 @@ CARRIER_NAMES = ("data0", "data1", "clock0", "clock1")
 
 
 @dataclass(frozen=True)
-class FskConfig:
+class FskConfig(_Link):
     """Carrier assignments and detection parameters.
 
     The four carriers sit inside the usable near-ultrasonic band and each bit
@@ -48,41 +50,33 @@ class FskConfig:
     band_hi_hz: float = 19500.0
 
     def __post_init__(self):
-        if not 0 < self.sample_rate_hz < math.inf or self.sample_rate_hz % 1:
-            raise ConfigurationError(  # a fractional rate would mislabel the signal
-                f"sample_rate_hz must be a positive whole number, got {self.sample_rate_hz}"
-            )
-        if self.fft_size < 2 or self.fft_size & (self.fft_size - 1) != 0:
-            raise ConfigurationError(f"fft_size must be a power of two, got {self.fft_size}")
+        self._check_link()
+        _check_fft_size(self.fft_size)
         carriers = self.carrier_freqs_hz
-        if len(set(carriers.values())) != 4:
-            raise ConfigurationError(f"the four carriers must be distinct, got {carriers}")
+        freqs = sorted(carriers.values())
+        gap = min(hi - lo for lo, hi in zip(freqs, freqs[1:]))
+        bins = gap * self.fft_size / self.sample_rate_hz
+        if bins < 3:  # a carrier's +-1-bin peak would reach a neighbour's +-2-bin guard
+            raise ConfigurationError(f"carrier spacing {gap} Hz is {bins:.2f} FFT bins, below 3")
         for name, freq in carriers.items():
             if not self.band_lo_hz <= freq <= self.band_hi_hz:
                 raise ConfigurationError(
                     f"{name}={freq} outside detection band [{self.band_lo_hz}, {self.band_hi_hz}]"
                 )
-            if freq >= self.sample_rate_hz / 2:
-                raise ConfigurationError(f"{name}={freq} at or above Nyquist")
-        if self.band_hi_hz > self.sample_rate_hz / 2:
-            raise ConfigurationError("band_hi_hz must not exceed Nyquist")
-        if not self.bit_rate_bps > 0:  # written so that NaN fails too
-            raise ConfigurationError(f"bit_rate_bps must be positive, got {self.bit_rate_bps}")
+        nyquist = self.sample_rate_hz / 2
+        if self.band_hi_hz > nyquist or freqs[-1] >= nyquist:
+            raise ConfigurationError(
+                f"band_hi_hz may not exceed Nyquist ({nyquist}), nor a carrier reach it"
+            )
         if self.samples_per_bit < 2 * self.fft_size:
             raise ConfigurationError(
                 f"samples_per_bit={self.samples_per_bit} must be >= 2*fft_size="
                 f"{2 * self.fft_size}; lower the bit rate or shrink the FFT"
             )
-        if not 0.0 < self.amplitude <= 1.0:
-            raise ConfigurationError(f"amplitude must be in (0, 1], got {self.amplitude}")
         if not 0 < self.detection_ratio < math.inf:
             raise ConfigurationError(
                 f"detection_ratio must be positive and finite, got {self.detection_ratio}"
             )
-
-    @property
-    def samples_per_bit(self) -> int:
-        return round(self.sample_rate_hz / self.bit_rate_bps)
 
     @property
     def carrier_freqs_hz(self) -> dict[str, float]:

@@ -8,7 +8,6 @@ the absolute phase (0 or pi) and decides on Re(z_i) against a delay-aligned
 reference; DPSK keys phase *changes* and decides on Re(z_i * conj(z_{i-1})).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +18,13 @@ from .errors import (
     NyquistViolationError,
     SyncNotFoundError,
 )
-from .signals import AudioSignal, _as_bits, _fft_length
+from .signals import AudioSignal, _Link, _as_bits, _fft_length
 
 DEFAULT_HEADER_BITS = (1, 0) * 8  # alternating sync pattern, 16 bits
 
 
 @dataclass(frozen=True)
-class PskConfig:
+class PskConfig(_Link):
     """Carrier, rate and shaping parameters shared by BPSK and DPSK."""
 
     carrier_hz: float = 19200.0
@@ -38,23 +37,16 @@ class PskConfig:
     ramp_fraction: float = 0.125
 
     def __post_init__(self):
-        if not 0 < self.sample_rate_hz < math.inf or self.sample_rate_hz % 1:
-            raise ConfigurationError(  # a fractional rate would mislabel the signal
-                f"sample_rate_hz must be a positive whole number, got {self.sample_rate_hz}"
-            )
+        self._check_link()
         if not 0.0 < self.carrier_hz < self.sample_rate_hz / 2:
             raise NyquistViolationError(
                 f"carrier_hz={self.carrier_hz} must lie in (0, {self.sample_rate_hz / 2})"
             )
-        if not self.bit_rate_bps > 0:  # written so that NaN fails too
-            raise ConfigurationError(f"bit_rate_bps must be positive, got {self.bit_rate_bps}")
         if self.samples_per_bit < 8:
             raise ConfigurationError(
                 f"samples_per_bit={self.samples_per_bit} must be >= 8 "
                 f"(bit rate too high for sample rate)"
             )
-        if not 0.0 < self.amplitude <= 1.0:
-            raise ConfigurationError(f"amplitude must be in (0, 1], got {self.amplitude}")
         if not 0.0 <= self.ramp_fraction < 0.5:
             raise ConfigurationError(
                 f"ramp_fraction must be in [0, 0.5), got {self.ramp_fraction}"
@@ -64,10 +56,6 @@ class PskConfig:
                 f"ramp_fraction={self.ramp_fraction} tapers all {self.samples_per_bit} "
                 "samples of a bit, leaving DPSK nothing to integrate"
             )
-
-    @property
-    def samples_per_bit(self) -> int:
-        return round(self.sample_rate_hz / self.bit_rate_bps)
 
     @property
     def ramp_samples(self) -> int:

@@ -19,9 +19,35 @@ from .errors import (
 )
 
 
+def _check_sample_rate(rate) -> None:
+    """Reject a rate that is not a positive whole number: it would mislabel a signal."""
+    if not 0 < rate < math.inf or rate % 1:
+        raise ConfigurationError(f"sample_rate_hz must be a positive whole number, got {rate}")
+
+
+def _check_fft_size(fft_size) -> None:
+    if fft_size < 2 or fft_size & (fft_size - 1) != 0:
+        raise ConfigurationError(f"fft_size must be a power of two >= 2, got {fft_size}")
+
+
+class _Link:
+    """The checks and bit period that PskConfig and FskConfig share."""
+
+    def _check_link(self) -> None:
+        _check_sample_rate(self.sample_rate_hz)
+        if not self.bit_rate_bps > 0:  # written so that NaN fails too
+            raise ConfigurationError(f"bit_rate_bps must be positive, got {self.bit_rate_bps}")
+        if not 0.0 < self.amplitude <= 1.0:
+            raise ConfigurationError(f"amplitude must be in (0, 1], got {self.amplitude}")
+
+    @property
+    def samples_per_bit(self) -> int:
+        return round(self.sample_rate_hz / self.bit_rate_bps)
+
+
 @dataclass(frozen=True)
 class AudioSignal:
-    """A sampled real-valued waveform.
+    """A real-valued waveform sampled at a whole number of hertz.
 
     ``samples`` has shape ``(n,)`` for mono or ``(2, n)`` for stereo (one row
     per channel).  Amplitudes are dimensionless, nominally within [-1, 1];
@@ -45,10 +71,7 @@ class AudioSignal:
             )
         if samples.shape[-1] < 1:
             raise IncompatibleSignalError("signal must contain at least one sample")
-        if not 1 <= self.sample_rate_hz < math.inf:  # int() would make a rate below 1 zero
-            raise ConfigurationError(
-                f"sample_rate_hz must be >= 1 and finite, got {self.sample_rate_hz}"
-            )
+        _check_sample_rate(self.sample_rate_hz)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
 
@@ -123,12 +146,11 @@ def generate_tone(
     sample_rate_hz: int,
     amplitude: float = 1.0,
 ) -> AudioSignal:
-    """Synthesize a mono cosine tone.
+    """Synthesize a mono cosine tone at a whole sample rate.
 
     sample[k] = amplitude * cos(2*pi*freq_hz*k/sample_rate_hz)
     """
-    if sample_rate_hz <= 0:
-        raise ConfigurationError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
+    _check_sample_rate(sample_rate_hz)
     if not 0.0 <= freq_hz < sample_rate_hz / 2:
         raise NyquistViolationError(
             f"freq_hz={freq_hz} must lie in [0, {sample_rate_hz / 2}) (below Nyquist)"
@@ -154,8 +176,7 @@ def framed_power(samples: np.ndarray, fft_size: int, window: str = "rectangular"
     dropped.  Each row is normalized as :class:`Spectrum` describes."""
     if samples.ndim != 1:
         raise IncompatibleSignalError(f"framed_power expects mono samples, got {samples.shape}")
-    if fft_size < 2 or fft_size & (fft_size - 1) != 0:
-        raise ConfigurationError(f"fft_size must be a power of two >= 2, got {fft_size}")
+    _check_fft_size(fft_size)
     if samples.size < fft_size:
         raise InsufficientDataError(
             f"signal has {samples.size} samples, need at least fft_size={fft_size}"

@@ -92,6 +92,16 @@ class TestEncode:
         code, _, _ = run_cli(capsys, "encode", "qam", "0xA5", str(tmp_path / "x.wav"))
         assert code == 2
 
+    def test_flag_the_scheme_lacks_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "x.wav"
+        code, stdout, err = run_cli(
+            capsys, "encode", "fsk", "0xA5", str(out), "--carrier-hz", "19000"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: --carrier-hz does not apply to fsk\n"
+        assert not out.exists()
+
 
 class TestDecode:
     @pytest.mark.parametrize("scheme,payload", [("dpsk", "0xA5"), ("bpsk", "0xA5"), ("fsk", "1011")])
@@ -102,6 +112,14 @@ class TestDecode:
         assert code == 0
         expected = "".join(str(b) for b in parse_payload(payload))
         assert stdout.splitlines()[0] == expected
+
+    def test_negative_offset_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "x.wav"
+        assert run_cli(capsys, "encode", "dpsk", "0xA5", str(out))[0] == 0
+        code, stdout, err = run_cli(capsys, "decode", "dpsk", str(out), "--offset", "-5")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: sample offset must be >= 0")
 
     def test_silence_header_sync_exit_3(self, capsys, tmp_path):
         path = tmp_path / "silence.wav"
@@ -225,6 +243,19 @@ class TestSimulate:
         assert code == 2
         assert "ramp_fraction" in err
 
+    def test_flag_the_scheme_lacks_exit_2(self, capsys):
+        code, stdout, err = run_cli(capsys, "simulate", "dpsk", "--bits", "8", "--fft-size", "1024")
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: --fft-size does not apply to dpsk\n"
+
+    def test_fsk_carriers_under_three_bins_apart_exit_2(self, capsys):
+        # 250 Hz is 2.9 bins at 512 points; this plan used to exit 0 with BTSR 0.4-0.75
+        code, stdout, err = run_cli(capsys, "simulate", "fsk", "--bits", "16", "--fft-size", "512")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: carrier spacing 250.0 Hz is 2.90 FFT bins")
+
     def test_noise_kind_without_snr_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "dpsk", "--noise-kind", "white")
         assert code == 2
@@ -293,6 +324,11 @@ class TestSweep:
             capsys, "sweep", "dpsk", "--axis", "snr", "--values", "abc", "--trials", "2"
         )
         assert code == 2
+
+    def test_empty_values_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "dpsk", "--axis", "snr", "--values", ",")
+        assert code == 2
+        assert err.startswith("error: --values must be non-empty")
 
     def test_negative_seed_exit_2(self, capsys):
         code, stdout, err = run_cli(

@@ -69,6 +69,10 @@ class TestBerEstimate:
     def test_zero_btsr_sentinel(self):
         assert ber_estimate_from_btsr(0.0, 800) == math.inf
 
+    def test_no_bits_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ber_estimate_from_btsr(1.0, 0)
+
 
 class TestRunTrial:
     def test_dpsk_identity_channel(self):
@@ -271,6 +275,10 @@ class TestSweep:
     def test_bad_axis_rejected(self):
         with pytest.raises(ConfigurationError):
             sweep("dpsk", "frequency", [1.0], 2, ChannelSpec())
+
+    def test_empty_values_rejected(self):
+        with pytest.raises(ConfigurationError):
+            sweep("dpsk", "bit_rate_bps", [], 2, ChannelSpec())
 
     def test_fsk_sweep_runs(self):
         channel = ChannelSpec(noise=NoiseSpec("white", 30.0, 18250.0), seed=7)

@@ -80,6 +80,32 @@ class TestFskConfig:
     def test_integral_sample_rate_accepted(self, rate):
         assert fsk_modulate([1], FskConfig(sample_rate_hz=rate)).sample_rate_hz == 44100
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"sample_rate_hz": 37000}, {"sample_rate_hz": 37500, "band_hi_hz": 18750.0}],
+        ids=["band_above_nyquist", "clock1_on_nyquist"],
+    )
+    def test_band_and_carriers_below_nyquist(self, overrides):
+        with pytest.raises(ConfigurationError, match="Nyquist"):
+            FskConfig(**overrides)
+
+    def test_band_may_end_on_nyquist(self):
+        assert FskConfig(sample_rate_hz=39000).band_hi_hz == 39000 / 2
+
+    @pytest.mark.parametrize(
+        "rate,fft_size,bins", [(44100, 512, "2.90"), (44100, 256, "1.45"), (96000, 1024, "2.67")]
+    )
+    def test_carriers_under_three_bins_apart_rejected(self, rate, fft_size, bins):
+        # a carrier's +-1-bin peak would reach the +-2-bin guard around its neighbour
+        with pytest.raises(ConfigurationError, match=f"250.0 Hz is {bins} FFT bins"):
+            FskConfig(sample_rate_hz=rate, fft_size=fft_size)
+
+    @pytest.mark.parametrize("rate,fft_size", [(44100, 1024), (96000, 2048)])
+    def test_default_plan_at_smaller_ffts_decodes(self, rate, fft_size):
+        cfg = FskConfig(sample_rate_hz=rate, fft_size=fft_size)  # 5.8 and 5.3 bins apart
+        bits = np.array([1, 0, 1, 1, 0, 0, 1, 0])
+        np.testing.assert_array_equal(fsk_demodulate(fsk_modulate(bits, cfg), cfg).bits, bits)
+
 
 class TestFskModulate:
     def test_single_one_carrier_assignment(self):

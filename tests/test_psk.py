@@ -171,6 +171,11 @@ class TestTransitionRamp:
         out = apply_transition_ramp(sig, [cfg.samples_per_bit], cfg)
         np.testing.assert_array_equal(out.samples, sig.samples)
 
+    def test_stereo_rejected(self):
+        cfg = PskConfig()
+        with pytest.raises(ConfigurationError, match="mono"):
+            apply_transition_ramp(AudioSignal(np.ones((2, 960)), 96000), [480], cfg)
+
     def test_no_boundaries_is_identity(self):
         cfg = PskConfig()
         sig = AudioSignal(np.ones(960), cfg.sample_rate_hz)
@@ -378,6 +383,13 @@ class TestEstimateDelay:
         template = bpsk_modulate(np.asarray(DEFAULT_HEADER_BITS), cfg)
         with pytest.raises(ConfigurationError):
             correlate_delay(sig, template, -1)
+
+    def test_correlate_delay_rejects_stereo_template(self):
+        cfg = PskConfig()
+        sig = self._delayed_header(0, cfg)
+        header = bpsk_modulate(np.asarray(DEFAULT_HEADER_BITS), cfg).samples
+        with pytest.raises(ConfigurationError, match="mono"):
+            correlate_delay(sig, AudioSignal(np.stack([header, header]), 96000), 400)
 
 
 class TestCorrelateDelayOracle:

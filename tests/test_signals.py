@@ -54,8 +54,18 @@ class TestAudioSignal:
         with pytest.raises(ConfigurationError):
             AudioSignal([0.0], rate)
 
-    def test_fractional_rate_truncates(self):
-        assert AudioSignal([0.0], 1.5).sample_rate_hz == 1
+    def test_fractional_rate_rejected(self):
+        # int() would store 1 for samples made at 1.5 Hz
+        with pytest.raises(ConfigurationError, match="whole number"):
+            AudioSignal([0.0], 1.5)
+
+    @pytest.mark.parametrize("rate", [44100.0, np.int64(44100)])
+    def test_integral_rate_stored_as_int(self, rate):
+        assert type(AudioSignal([0.0], rate).sample_rate_hz) is int
+
+    def test_three_dimensional_samples_rejected(self):
+        with pytest.raises(IncompatibleSignalError):
+            AudioSignal(np.zeros((2, 2, 4)), 44100)
 
     def test_three_channels_rejected(self):
         with pytest.raises(IncompatibleSignalError):
@@ -93,6 +103,12 @@ class TestGenerateTone:
     def test_zero_samples_rejected(self):
         with pytest.raises(ConfigurationError):
             generate_tone(1000, 0, 44100)
+
+    @pytest.mark.parametrize("rate", [44100.7, math.nan])
+    def test_fractional_or_nan_rate_rejected(self, rate):
+        # 44100.7 would give a tone made at one rate and labelled with another
+        with pytest.raises(ConfigurationError, match="whole number"):
+            generate_tone(18000.0, 10, rate)
 
     def test_peak_bin_matches_dft_oracle(self):
         sig = generate_tone(18000, 4096, 44100, amplitude=0.5)
