@@ -33,6 +33,7 @@ _CONFIG_FLAGS = {
     "band_lo_hz": ("--band-lo", float),
     "band_hi_hz": ("--band-hi", float),
 }
+_SWEEP_AXES = {"snr": "snr_db", "bitrate": "bit_rate_bps"}
 
 
 def parse_payload(text: str) -> np.ndarray:
@@ -155,7 +156,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    axis = {"snr": "snr_db", "bitrate": "bit_rate_bps"}[args.axis]
+    axis = _SWEEP_AXES[args.axis]
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="Monte-Carlo BTSR sweep over SNR or bit rate")
     sweep.add_argument("scheme", choices=evaluate.SCHEMES)
-    sweep.add_argument("--axis", choices=("snr", "bitrate"), required=True)
+    sweep.add_argument("--axis", choices=_SWEEP_AXES, required=True)
     sweep.add_argument("--values", required=True, help="comma-separated axis values")
     sweep.add_argument("--trials", type=int, default=10)
     _add_trial_flags(sweep)

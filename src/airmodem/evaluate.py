@@ -197,6 +197,15 @@ def _derive_seed(base_seed: int, axis_index: int, trial_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _sweep_point(axis: str, value: float, config, channel: ChannelSpec):
+    """``(config, channel)`` of one sweep point, ``value`` replacing one field:
+    ``snr_db`` the noise spec's ``snr_db_at_carrier``, any other axis the
+    config field of that name."""
+    if axis == "snr_db":
+        return config, replace(channel, noise=replace(channel.noise, snr_db_at_carrier=value))
+    return replace(config, **{axis: value}), channel
+
+
 def sweep(
     scheme: str,
     axis: str,
@@ -211,13 +220,16 @@ def sweep(
 
     Per-trial seeds derive from (base seed, axis index, trial index), so runs
     are reproducible bit-for-bit and trials could execute in parallel without
-    changing the result.  Axis points with invalid configurations are flagged
-    rather than skipped.  Sweeping ``bit_rate_bps`` holds the noise level
-    fixed: each trial's noise is calibrated against the carrier-bin power of
-    the same on-air bits (header included under header sync) sent at the
-    base configuration's rate, so the base rate sees exactly the noise of
-    the ``snr_db`` point at the requested SNR, and slower rates keep their
-    integration gain (the room does not get quieter when the sender slows).
+    changing the result.  One rule covers both axes:
+
+    - a point replaces one field (see :func:`_sweep_point`);
+    - a point whose config differs from the base config hears noise
+      calibrated against the carrier-bin power of the same on-air bits
+      (header included under header sync) sent with the base config: the
+      room does not get quieter when the sender slows, and the base rate,
+      calibrated against its own capture, is the ``snr_db`` point exactly;
+    - a value that a constructor rejects marks its point invalid (NaN
+      statistics) rather than skipping it.
     """
     entry = _lookup_scheme(scheme, sync)
     if axis not in SWEEP_AXES:
@@ -231,45 +243,26 @@ def sweep(
         base_config = entry.config_class()
     if axis == "snr_db" and base_channel.noise is None:
         raise ConfigurationError("snr_db sweep requires a channel with a noise spec")
-    means, stds, valid = [], [], []
+    means, stds = np.full(values.size, math.nan), np.full(values.size, math.nan)
     for axis_index, value in enumerate(values):
-        config = base_config
-        if axis == "bit_rate_bps":
-            try:
-                config = replace(base_config, bit_rate_bps=float(value))
-            except ConfigurationError:
-                means.append(math.nan)
-                stds.append(math.nan)
-                valid.append(False)
-                continue
+        try:
+            config, channel = _sweep_point(axis, float(value), base_config, base_channel)
+        except ConfigurationError:
+            continue
         btsrs = []
         for trial_index in range(trials):
             seed = _derive_seed(base_channel.seed, axis_index, trial_index)
-            trial_channel = replace(base_channel, seed=seed)
-            if axis == "snr_db":
-                trial_channel = replace(
-                    trial_channel,
-                    noise=replace(trial_channel.noise, snr_db_at_carrier=float(value)),
-                )
-            elif base_channel.noise is not None:
+            trial_channel = replace(channel, seed=seed)
+            if config != base_config and channel.noise is not None:
                 on_air = _trial_bits(entry, sync, payload_bits, trial_channel)[2]
                 power = _carrier_bin_power(entry.modulate(on_air, base_config), trial_channel)
                 trial_channel = replace(
-                    trial_channel, noise=replace(trial_channel.noise, reference_bin_power=power)
+                    trial_channel, noise=replace(channel.noise, reference_bin_power=power)
                 )
-            report = run_trial(scheme, payload_bits, trial_channel, config, sync=sync)
-            btsrs.append(report.btsr)
-        means.append(float(np.mean(btsrs)))
-        stds.append(float(np.std(btsrs, ddof=1)))
-        valid.append(True)
-    return SweepResult(
-        axis_name=axis,
-        axis_values=values,
-        mean_btsr=np.asarray(means),
-        std_btsr=np.asarray(stds),
-        trials_per_point=trials,
-        valid=np.asarray(valid, dtype=bool),
-    )
+            btsrs.append(run_trial(scheme, payload_bits, trial_channel, config, sync=sync).btsr)
+        means[axis_index] = np.mean(btsrs)
+        stds[axis_index] = np.std(btsrs, ddof=1)
+    return SweepResult(axis, values, means, stds, trials, valid=~np.isnan(means))
 
 
 def sweep_to_csv(result: SweepResult) -> str:

@@ -18,6 +18,7 @@ from .signals import (
     Spectrum,
     _Link,
     _as_bits,
+    _band_mask,
     _check_fft_size,
     band_power,
     framed_power,
@@ -68,6 +69,10 @@ class FskConfig(_Link):
             raise ConfigurationError(
                 f"band_hi_hz may not exceed Nyquist ({nyquist}), nor a carrier reach it"
             )
+        band = [self.band_lo_hz, self.band_hi_hz]
+        bin_freqs = np.fft.rfftfreq(self.fft_size, 1.0 / self.sample_rate_hz)
+        if not _band_mask(bin_freqs, self.sample_rate_hz / self.fft_size, *band, freqs).any():
+            raise ConfigurationError(f"detection band {band} has no noise-floor bin off the guards")
         if self.samples_per_bit < 2 * self.fft_size:
             raise ConfigurationError(
                 f"samples_per_bit={self.samples_per_bit} must be >= 2*fft_size="

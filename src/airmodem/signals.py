@@ -209,6 +209,15 @@ def power_spectrum(signal: AudioSignal, fft_size: int) -> Spectrum:
     return Spectrum(freqs, power, fft_size, signal.sample_rate_hz)
 
 
+def _band_mask(freqs, bin_width_hz, f_lo_hz, f_hi_hz, excluded_freqs_hz) -> np.ndarray:
+    """Bins of ``freqs`` in [f_lo_hz, f_hi_hz] more than two bin widths from
+    every excluded frequency, a guard band for spectral leakage."""
+    mask = (freqs >= f_lo_hz) & (freqs <= f_hi_hz)
+    for fc in excluded_freqs_hz:
+        mask &= np.abs(freqs - fc) > 2.0 * bin_width_hz
+    return mask
+
+
 def band_power(
     spectrum: Spectrum, f_lo_hz: float, f_hi_hz: float, excluded_freqs_hz=()
 ) -> float | np.ndarray:
@@ -226,9 +235,7 @@ def band_power(
             f"need f_lo < f_hi <= Nyquist ({nyquist}), got [{f_lo_hz}, {f_hi_hz}]"
         )
     freqs = spectrum.bin_freq_hz
-    mask = (freqs >= f_lo_hz) & (freqs <= f_hi_hz)
-    for fc in excluded_freqs_hz:
-        mask &= np.abs(freqs - fc) > 2.0 * spectrum.bin_width_hz
+    mask = _band_mask(freqs, spectrum.bin_width_hz, f_lo_hz, f_hi_hz, excluded_freqs_hz)
     if not mask.any():
         warnings.warn(
             f"no spectrum bins left in [{f_lo_hz}, {f_hi_hz}] after exclusions",

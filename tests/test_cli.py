@@ -256,6 +256,17 @@ class TestSimulate:
         assert stdout == ""
         assert err.startswith("error: carrier spacing 250.0 Hz is 2.90 FFT bins")
 
+    def test_fsk_band_with_no_floor_bin_exit_2(self, capsys):
+        # this plan used to exit 0 with BTSR 0 and an EmptyBandWarning on every trial
+        code, stdout, err = run_cli(
+            capsys,
+            "simulate", "fsk", "--bits", "16", "--fft-size", "1024", "--data-freq1", "18131.35",
+            "--clock-freq0", "18262.7", "--clock-freq1", "18394.06", "--band-hi", "18394.06",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: detection band [18000.0, 18394.06]")
+
     def test_noise_kind_without_snr_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "dpsk", "--noise-kind", "white")
         assert code == 2
@@ -307,6 +318,15 @@ class TestSweep:
         lines = stdout.splitlines()
         assert "bit_rate_bps,400.000000," in lines[1]
         assert "invalid" in lines[2]
+
+    def test_rejected_snr_value_is_an_invalid_row(self, capsys):
+        code, stdout, _ = run_cli(
+            capsys,
+            "sweep", "dpsk", "--axis", "snr", "--values", "10,nan",
+            "--trials", "2", "--bits", "50", "--seed", "1",
+        )
+        assert code == 0
+        assert stdout.splitlines()[-1] == "snr_db,nan,invalid,invalid,2"
 
     def test_output_file(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"

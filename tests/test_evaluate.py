@@ -182,6 +182,31 @@ class TestSweep:
         csv_text = sweep_to_csv(result)
         assert "invalid" in csv_text.splitlines()[2]
 
+    def test_rejected_snr_value_marks_point_invalid(self):
+        # the same rule as a rejected bit rate: the point stays, with NaN statistics
+        channel = ChannelSpec(noise=NoiseSpec("white", 10.0, 19200.0), seed=1)
+        result = sweep("dpsk", "snr_db", [10.0, math.nan, math.inf], 2, channel, payload_bits=20)
+        assert result.valid.tolist() == [True, False, False]
+        assert np.isnan(result.mean_btsr[1:]).all() and np.isnan(result.std_btsr[1:]).all()
+        rows = sweep_to_csv(result).splitlines()[2:]
+        assert [row.split(",")[2:4] for row in rows] == [["invalid", "invalid"]] * 2
+
+    @pytest.mark.parametrize("rate,per_trial", [(200.0, [200.0]), (400.0, [200.0, 400.0])])
+    def test_only_an_off_base_point_modulates_the_reference(self, rate, per_trial, monkeypatch):
+        # the base-rate point calibrates against its own capture; another rate
+        # also sends the trial's bits at the base rate to calibrate against
+        calls = []
+        original = dpsk_modulate
+
+        def counting_modulate(bits, config):
+            calls.append(config.bit_rate_bps)
+            return original(bits, config)
+
+        monkeypatch.setattr("airmodem.psk.dpsk_modulate", counting_modulate)
+        channel = ChannelSpec(noise=NoiseSpec("white", 10.0, 19200.0), seed=8)
+        sweep("dpsk", "bit_rate_bps", [rate], 3, channel, payload_bits=50)
+        assert calls == per_trial * 3  # the bit rate of each dpsk_modulate call
+
     def test_bitrate_sweep_noiseless(self):
         channel = ChannelSpec(seed=2)
         result = sweep("dpsk", "bit_rate_bps", [100.0, 400.0], 2, channel, payload_bits=50)

@@ -100,6 +100,15 @@ class TestFskConfig:
         with pytest.raises(ConfigurationError, match=f"250.0 Hz is {bins} FFT bins"):
             FskConfig(sample_rate_hz=rate, fft_size=fft_size)
 
+    def test_band_with_no_floor_bin_rejected(self):
+        # 3.05 bins apart with the band ending on clock1: the +-2-bin guards cover
+        # the whole band, the floor reads 0 and any leakage counts as a carrier
+        with pytest.raises(ConfigurationError, match=r"detection band \[18000.0, 18394.06\]"):
+            FskConfig(
+                data_freq1_hz=18131.35, clock_freq0_hz=18262.7, clock_freq1_hz=18394.06,
+                fft_size=1024, band_hi_hz=18394.06,
+            )
+
     @pytest.mark.parametrize("rate,fft_size", [(44100, 1024), (96000, 2048)])
     def test_default_plan_at_smaller_ffts_decodes(self, rate, fft_size):
         cfg = FskConfig(sample_rate_hz=rate, fft_size=fft_size)  # 5.8 and 5.3 bins apart
@@ -220,6 +229,22 @@ class TestDetectCarriers:
         det = detect_carriers(sig, cfg)
         assert det.carrier_powers["data1"] > 0.1
         assert "data1" in det.active_carriers
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="4-bin plans light up their neighbours; ROADMAP item 6's receiver is to fix it",
+    )
+    def test_clean_frame_of_a_four_bin_plan(self):
+        # carriers 4.0 bins apart at 1024 points: each tone's leakage into its
+        # neighbours' +-1-bin peaks just clears 10x the floor, so the frame that
+        # fsk_demodulate reads inside bit 1 reports all four carriers
+        d0, d1, c0, c1 = 18000.0 + 4.0 * 44100 / 1024 * np.arange(4)
+        cfg = FskConfig(
+            data_freq0_hz=d0, data_freq1_hz=d1, clock_freq0_hz=c0, clock_freq1_hz=c1, fft_size=1024
+        )
+        mono = fsk_modulate([0, 1, 1, 0], cfg).mixdown().samples
+        frame = AudioSignal(mono[12 * 1024 : 13 * 1024], 44100)  # inside bit 1 (11025-22050)
+        assert detect_carriers(frame, cfg).active_carriers == {"data1", "clock0"}
 
 
 class TestFskDemodulate:
