@@ -22,7 +22,6 @@ from .errors import (
     ClippingWarning,
     ConfigurationError,
     CorruptFileError,
-    EmptyBandWarning,
     IncompatibleSignalError,
     InsufficientDataError,
     ModemError,

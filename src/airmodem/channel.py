@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, IncompatibleSignalError, InsufficientDataError
-from .signals import AudioSignal, _check_sample_rate, _fft_length
+from .errors import ConfigurationError, InsufficientDataError
+from .signals import AudioSignal, _check_same_rate, _check_sample_rate, _fft_length
 
 # kind -> (corner_hz, order) of its gain 1 / (1 + (f/corner)^2)^order; white has none
 _NOISE_GAINS = {
@@ -160,10 +160,7 @@ def measure_snr_at(signal: AudioSignal, noise: AudioSignal, carrier_hz: float) -
     Returns +inf when the noise has no power at that bin, and -inf when
     only the signal has none.
     """
-    if signal.sample_rate_hz != noise.sample_rate_hz:
-        raise IncompatibleSignalError(
-            f"sample rates differ: {signal.sample_rate_hz} vs {noise.sample_rate_hz}"
-        )
+    _check_same_rate(signal, noise)
     if signal.num_samples < SNR_FFT_SIZE or noise.num_samples < SNR_FFT_SIZE:
         raise InsufficientDataError(f"both signals need at least {SNR_FFT_SIZE} samples")
     s = _mean_bin_power(signal.mixdown().samples, signal.sample_rate_hz, carrier_hz)

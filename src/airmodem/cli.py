@@ -68,7 +68,7 @@ def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _build_config(args, sample_rate_hz: int | None = None):
+def _build_config(args):
     """The scheme's table entry and its config, with the flags' overrides."""
     scheme = evaluate._SCHEMES[args.scheme]
     names = {field.name for field in fields(scheme.config_class)}
@@ -79,8 +79,6 @@ def _build_config(args, sample_rate_hz: int | None = None):
             if field not in names:
                 raise ConfigurationError(f"{flag} does not apply to {args.scheme}")
             kwargs[field] = value
-    if sample_rate_hz is not None:
-        kwargs["sample_rate_hz"] = sample_rate_hz
     return scheme, scheme.config_class(**kwargs)
 
 
@@ -102,12 +100,9 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     signal = wavfile.read_wav(args.infile)
-    if args.sample_rate is not None and args.sample_rate != signal.sample_rate_hz:
-        raise ConfigurationError(
-            f"sample-rate mismatch: file has {signal.sample_rate_hz} Hz, "
-            f"--sample-rate requested {args.sample_rate} Hz"
-        )
-    scheme, config = _build_config(args, sample_rate_hz=signal.sample_rate_hz)
+    if args.sample_rate is None:
+        args.sample_rate = signal.sample_rate_hz  # the receiver rejects any other rate
+    scheme, config = _build_config(args)
     header = parse_payload(args.header_bits)
     if args.sync != "header":
         header = header[:0]
@@ -164,7 +159,8 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigurationError("--values must be non-empty")
     scheme, config = _build_config(args)
-    base_snr = args.snr_db if args.snr_db is not None else (values[0] if axis == "snr_db" else None)
+    # every SNR point replaces the base SNR, so a placeholder stands in when --snr-db is absent
+    base_snr = args.snr_db if args.snr_db is not None else (0.0 if axis == "snr_db" else None)
     channel = _build_channel(args, scheme, config, base_snr)
     result = evaluate.sweep(
         args.scheme, axis, values, args.trials, channel, config, payload_bits=args.bits

@@ -37,9 +37,5 @@ class CorruptFileError(ModemError):
     """A WAV file is structurally damaged (truncated or empty chunks)."""
 
 
-class EmptyBandWarning(UserWarning):
-    """Band power was requested over a band that excludes every bin."""
-
-
 class ClippingWarning(UserWarning):
     """Samples were clipped to [-1, 1] during conversion or channel simulation."""

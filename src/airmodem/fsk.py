@@ -20,6 +20,7 @@ from .signals import (
     _as_bits,
     _band_mask,
     _check_fft_size,
+    _check_same_rate,
     band_power,
     framed_power,
     generate_tone,
@@ -165,7 +166,8 @@ def detect_carriers_in_spectrum(
 
 
 def detect_carriers(frame: AudioSignal, config: FskConfig = FskConfig()) -> CarrierDetection:
-    """Detect active carriers in the first fft_size samples of a mono frame."""
+    """Detect active carriers in the first fft_size samples of a mono frame at the config's rate."""
+    _check_same_rate(frame, config)
     return detect_carriers_in_spectrum(power_spectrum(frame, config.fft_size), config)
 
 
@@ -177,8 +179,10 @@ def fsk_demodulate(signal: AudioSignal, config: FskConfig = FskConfig()) -> FskD
     from the last unambiguous clock state marks a transition and arms the
     sampler: the first frame of that clock state with exactly one active
     data carrier supplies the bit, and armed frames with zero or two active
-    data carriers emit no bit and are flagged as erasures.
+    data carriers emit no bit and are flagged as erasures.  A signal at
+    another rate than the config's raises IncompatibleSignalError.
     """
+    _check_same_rate(signal, config)
     freqs = np.fft.rfftfreq(config.fft_size, 1.0 / signal.sample_rate_hz)
     power = framed_power(signal.mixdown().samples, config.fft_size)
     detections = _detect(Spectrum(freqs, power, config.fft_size, signal.sample_rate_hz), config)

@@ -3,8 +3,9 @@
 Both share one complex-baseband symbol core: cos(w*(i*spb + j) + phi_i) =
 Re(a_i * exp(j*w*j)) with a_i = A*exp(j*(w*i*spb + phi_i)), tapered around
 phase steps so the transitions do not splatter clicks into the audible band.
-Receivers correlate each symbol with the same template into z_i.  BPSK keys
-the absolute phase (0 or pi) and decides on Re(z_i) against a delay-aligned
+Receivers reject a signal sampled at another rate than the config's, and
+correlate each symbol with the same template into z_i.  BPSK keys the
+absolute phase (0 or pi) and decides on Re(z_i) against a delay-aligned
 reference; DPSK keys phase *changes* and decides on Re(z_i * conj(z_{i-1})).
 """
 
@@ -18,7 +19,7 @@ from .errors import (
     NyquistViolationError,
     SyncNotFoundError,
 )
-from .signals import AudioSignal, _Link, _as_bits, _fft_length
+from .signals import AudioSignal, _Link, _as_bits, _check_same_rate, _fft_length
 
 DEFAULT_HEADER_BITS = (1, 0) * 8  # alternating sync pattern, 16 bits
 
@@ -115,6 +116,7 @@ def _symbol_correlations(
 ) -> np.ndarray:
     """z_i = sum_j x[i, j]*w[j]*exp(-j*w_c*(i*spb + j)) over the whole symbols
     from sample ``offset`` on; w zeroes ``skip`` samples at both symbol ends."""
+    _check_same_rate(received, config)
     received = received.mixdown()
     spb = config.samples_per_bit
     if offset < 0:
@@ -128,7 +130,8 @@ def _symbol_correlations(
     starts, template = _carrier_basis(config, num_symbols)
     j = np.arange(spb)[:, None]
     arms = x @ (template * [1.0, -1.0] * ((j >= skip) & (j < spb - skip)))
-    return (arms[:, 0] + 1j * arms[:, 1]) * np.conj(starts)
+    scale = 2.0 / (config.amplitude * (spb - 2 * skip))  # a clean symbol reads |z_i| ~ 1
+    return (arms[:, 0] + 1j * arms[:, 1]) * np.conj(starts) * scale
 
 
 def apply_transition_ramp(signal: AudioSignal, boundaries, config: PskConfig) -> AudioSignal:
@@ -178,7 +181,6 @@ def bpsk_demodulate_coherent(
     clean channel.  y == 0 exactly emits a zero with an erasure flag.
     """
     z = _symbol_correlations(received, config, delay_samples, min_symbols=1, skip=0)
-    z *= 2.0 / (config.amplitude * config.samples_per_bit)
     decisions = (z.real > 0).astype(np.int64)
     return DemodTrace(z.real, np.angle(z) % (2.0 * np.pi), decisions, z.real == 0.0)
 
@@ -191,10 +193,12 @@ def correlate_delay(received: AudioSignal, template: AudioSignal, max_delay_samp
     The sliding dot products come from one FFT cross-correlation, so a
     one-second search window costs a few FFTs rather than a direct-form sum
     over every lag.  Ties break toward the smallest delay.  Raises
+    IncompatibleSignalError when the two signals' rates differ,
     InsufficientDataError when ``received`` is shorter than the template, and
     SyncNotFoundError when the peak is not at least 3x the median off-peak
     correlation magnitude.
     """
+    _check_same_rate(received, template)
     received = received.mixdown()
     if template.channel_count != 1:
         raise ConfigurationError("template must be mono")
@@ -271,7 +275,6 @@ def dpsk_demodulate(
     """
     r = config.ramp_samples
     z = _symbol_correlations(received, config, start_offset_samples, min_symbols=2, skip=r)
-    z *= 2.0 / (config.amplitude * (config.samples_per_bit - 2 * r))
     steps = z[1:] * np.conj(z[:-1])
     y = steps.real
     decisions = (y < 0).astype(np.int64)

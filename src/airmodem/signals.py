@@ -5,14 +5,12 @@ concurrently.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ConfigurationError,
-    EmptyBandWarning,
     IncompatibleSignalError,
     InsufficientDataError,
     NyquistViolationError,
@@ -25,6 +23,13 @@ def _check_sample_rate(rate) -> None:
         raise ConfigurationError(f"sample_rate_hz must be a positive whole number, got {rate}")
 
 
+def _check_same_rate(signal, other) -> None:
+    """Reject ``signal`` unless it is sampled at ``other``'s rate (a config's or a signal's)."""
+    if signal.sample_rate_hz != other.sample_rate_hz:
+        rates = f"signal has {signal.sample_rate_hz} Hz, expected {other.sample_rate_hz} Hz"
+        raise IncompatibleSignalError(f"sample-rate mismatch: {rates}")
+
+
 def _check_fft_size(fft_size) -> None:
     if fft_size < 2 or fft_size & (fft_size - 1) != 0:
         raise ConfigurationError(f"fft_size must be a power of two >= 2, got {fft_size}")
@@ -35,10 +40,11 @@ class _Link:
 
     def _check_link(self) -> None:
         _check_sample_rate(self.sample_rate_hz)
-        if not self.bit_rate_bps > 0:  # written so that NaN fails too
-            raise ConfigurationError(f"bit_rate_bps must be positive, got {self.bit_rate_bps}")
-        if not 0.0 < self.amplitude <= 1.0:
-            raise ConfigurationError(f"amplitude must be in (0, 1], got {self.amplitude}")
+        rate = float(self.bit_rate_bps)  # NaN fails too; a subnormal rate has an inf period
+        if not rate > 0 or not math.isfinite(int(self.sample_rate_hz) / rate):
+            raise ConfigurationError(f"bit_rate_bps must be > 0 with a finite period, got {rate}")
+        if not np.finfo(float).tiny <= self.amplitude <= 1.0:  # a subnormal one rounds to noise
+            raise ConfigurationError(f"amplitude must be normal, in (0, 1], got {self.amplitude}")
 
     @property
     def samples_per_bit(self) -> int:
@@ -224,10 +230,10 @@ def band_power(
     """Mean bin power over [f_lo_hz, f_hi_hz], skipping excluded carriers.
 
     Bins within two bin widths of any excluded frequency are ignored, a guard
-    band for spectral leakage.  Returns 0.0 and emits :class:`EmptyBandWarning`
-    if no bin qualifies.  A spectrum whose ``bin_power`` holds one row per
-    frame, as :func:`framed_power` returns, gives an array with one mean per
-    frame.
+    band for spectral leakage.  Raises ConfigurationError for a band that is
+    inverted, reaches past Nyquist or keeps no bin.  A spectrum whose
+    ``bin_power`` holds one row per frame, as :func:`framed_power` returns,
+    gives an array with one mean per frame.
     """
     nyquist = spectrum.source_sample_rate_hz / 2
     if not f_lo_hz < f_hi_hz <= nyquist:
@@ -237,13 +243,7 @@ def band_power(
     freqs = spectrum.bin_freq_hz
     mask = _band_mask(freqs, spectrum.bin_width_hz, f_lo_hz, f_hi_hz, excluded_freqs_hz)
     if not mask.any():
-        warnings.warn(
-            f"no spectrum bins left in [{f_lo_hz}, {f_hi_hz}] after exclusions",
-            EmptyBandWarning,
-            stacklevel=2,
-        )
-        means = np.zeros(spectrum.bin_power.shape[:-1])
-    else:
-        # a contiguous copy keeps each row's sum in the same order as a 1-D mean
-        means = np.ascontiguousarray(spectrum.bin_power[..., mask]).mean(axis=-1)
+        raise ConfigurationError(f"no bin of [{f_lo_hz}, {f_hi_hz}] is left after exclusions")
+    # a contiguous copy keeps each row's sum in the same order as a 1-D mean
+    means = np.ascontiguousarray(spectrum.bin_power[..., mask]).mean(axis=-1)
     return float(means) if means.ndim == 0 else means

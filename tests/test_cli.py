@@ -135,6 +135,15 @@ class TestDecode:
         assert code == 2
         assert "mismatch" in err
 
+    def test_fsk_sample_rate_mismatch_exit_2(self, capsys, tmp_path):
+        # a 48 kHz FskConfig is valid, so the receiver is what rejects the 44.1 kHz file
+        out = tmp_path / "f.wav"
+        run_cli(capsys, "encode", "fsk", "0xA5", str(out))
+        code, stdout, err = run_cli(capsys, "decode", "fsk", str(out), "--sample-rate", "48000")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: sample-rate mismatch")
+
     @pytest.mark.parametrize("scheme", ["dpsk", "bpsk"])
     def test_header_sync_on_short_encoded_burst(self, capsys, tmp_path, scheme):
         # encode adds no header, so it leads the payload; the burst is shorter
@@ -271,6 +280,16 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "dpsk", "--noise-kind", "white")
         assert code == 2
 
+    @pytest.mark.parametrize("scheme", ["dpsk", "fsk"])
+    def test_subnormal_bit_rate_exit_2(self, capsys, scheme):
+        # it used to overflow in samples_per_bit with a traceback (exit 1)
+        code, stdout, err = run_cli(
+            capsys, "simulate", scheme, "--bits", "8", "--bit-rate", "5e-324"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: bit_rate_bps must be > 0")
+
     def test_negative_seed_exit_2(self, capsys):
         code, stdout, err = run_cli(capsys, "simulate", "dpsk", "--bits", "10", "--seed", "-1")
         assert code == 2
@@ -327,6 +346,17 @@ class TestSweep:
         )
         assert code == 0
         assert stdout.splitlines()[-1] == "snr_db,nan,invalid,invalid,2"
+
+    @pytest.mark.parametrize("values", ["nan,10", "nan"])
+    def test_rejected_snr_value_first_is_an_invalid_row(self, capsys, values):
+        # the base noise spec no longer comes from the first value, so order does not matter
+        code, stdout, _ = run_cli(
+            capsys,
+            "sweep", "dpsk", "--axis", "snr", "--values", values,
+            "--trials", "2", "--bits", "50", "--seed", "1",
+        )
+        assert code == 0
+        assert stdout.splitlines()[1] == "snr_db,nan,invalid,invalid,2"
 
     def test_output_file(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"

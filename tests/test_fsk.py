@@ -12,6 +12,7 @@ from airmodem import (
     AudioSignal,
     ConfigurationError,
     FskConfig,
+    IncompatibleSignalError,
     InsufficientDataError,
     NoClockError,
     Spectrum,
@@ -108,6 +109,12 @@ class TestFskConfig:
                 data_freq1_hz=18131.35, clock_freq0_hz=18262.7, clock_freq1_hz=18394.06,
                 fft_size=1024, band_hi_hz=18394.06,
             )
+
+    @pytest.mark.parametrize("field", ["bit_rate_bps", "amplitude"])
+    def test_subnormal_link_field_rejected(self, field):
+        # a subnormal bit rate made samples_per_bit overflow
+        with pytest.raises(ConfigurationError, match=field):
+            FskConfig(**{field: 5e-324})
 
     @pytest.mark.parametrize("rate,fft_size", [(44100, 1024), (96000, 2048)])
     def test_default_plan_at_smaller_ffts_decodes(self, rate, fft_size):
@@ -223,6 +230,11 @@ class TestDetectCarriers:
         with pytest.raises(InsufficientDataError):
             detect_carriers(AudioSignal(np.zeros(1000), 44100), FskConfig())
 
+    def test_frame_at_another_rate_rejected(self):
+        frame = generate_tone(18250, 4096, 48000, amplitude=0.8)
+        with pytest.raises(IncompatibleSignalError, match="sample-rate mismatch"):
+            detect_carriers(frame, FskConfig())
+
     def test_powers_read_near_nominal_bin(self):
         cfg = FskConfig()
         sig = generate_tone(18250, 4096, 44100, amplitude=0.8)
@@ -248,6 +260,11 @@ class TestDetectCarriers:
 
 
 class TestFskDemodulate:
+    def test_signal_at_another_rate_rejected(self):
+        signal = fsk_modulate([1, 0, 1], FskConfig())
+        with pytest.raises(IncompatibleSignalError, match="sample-rate mismatch"):
+            fsk_demodulate(signal, FskConfig(sample_rate_hz=48000))
+
     def test_roundtrip_small_payloads(self):
         cfg = FskConfig()
         rng = np.random.default_rng(RNG_SEED)

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airmodem import (
     AudioSignal,
     ConfigurationError,
+    IncompatibleSignalError,
     InsufficientDataError,
     NyquistViolationError,
     PskConfig,
@@ -99,6 +100,33 @@ class TestPskConfig:
         # 8 samples per bit with 4-sample ramps on each side: nothing left to integrate
         with pytest.raises(ConfigurationError):
             PskConfig(bit_rate_bps=12000, ramp_fraction=0.49)
+
+    @pytest.mark.parametrize("field", ["bit_rate_bps", "amplitude"])
+    def test_subnormal_link_field_rejected(self, field):
+        # a subnormal bit rate made samples_per_bit overflow, and a subnormal
+        # amplitude rounded the carrier away so trials lost bits silently
+        with pytest.raises(ConfigurationError, match=field):
+            PskConfig(**{field: 5e-324})
+
+
+class TestRateRule:
+    """Every PSK receiver rejects a signal sampled at another rate than its config's."""
+
+    def test_demodulators_reject_another_rate(self):
+        bits = [1, 0, 1, 1, 0, 0, 1, 0]
+        at_48k = PskConfig(sample_rate_hz=48000)
+        for modulate, demodulate in (
+            (dpsk_modulate, dpsk_demodulate),
+            (bpsk_modulate, bpsk_demodulate_coherent),
+        ):
+            with pytest.raises(IncompatibleSignalError, match="sample-rate mismatch"):
+                demodulate(modulate(bits, at_48k), PskConfig(), 0)
+
+    def test_correlate_delay_rejects_a_template_at_another_rate(self):
+        received = bpsk_modulate([1, 0] * 16, PskConfig())
+        template = bpsk_modulate(DEFAULT_HEADER_BITS, PskConfig(sample_rate_hz=48000))
+        with pytest.raises(IncompatibleSignalError, match="sample-rate mismatch"):
+            correlate_delay(received, template, max_delay_samples=100)
 
 
 class TestBipolarAndEncode:
@@ -654,6 +682,53 @@ def test_noiseless_trial_exact_at_every_accepted_rate(scheme, rate, bit_rate):
     config = PskConfig(sample_rate_hz=rate, bit_rate_bps=bit_rate)
     report = run_trial(scheme, 50, ChannelSpec(delay_samples=777, seed=3), config)
     assert report.btsr == 1.0
+
+
+@st.composite
+def psk_trials(draw):
+    """Every PskConfig field over its range (bit rate fs/400..fs/8), a payload
+    length, a known delay and a seed."""
+    rate = draw(st.integers(1, 192000))
+    fields = {
+        "sample_rate_hz": rate,
+        "bit_rate_bps": draw(st.floats(rate / 400, rate / 8)),
+        "carrier_hz": draw(st.floats(0, rate / 2, exclude_min=True, exclude_max=True)),
+        "amplitude": draw(st.floats(0, 1, exclude_min=True)),
+        "ramp_fraction": draw(st.floats(0, 0.5, exclude_max=True)),
+    }
+    return fields, draw(st.integers(1, 40)), draw(st.integers(0, 499)), draw(st.integers(0, 2**32))
+
+
+@given(trial=psk_trials())
+@settings(max_examples=500, derandomize=True, deadline=None)
+@example(  # `airmodem simulate bpsk` scored 0.75 here before subnormal amplitudes were rejected
+    trial=(
+        {"sample_rate_hz": 524, "bit_rate_bps": 65.0, "carrier_hz": 6.0,
+         "amplitude": 5e-324, "ramp_fraction": 0.0},
+        4, 39, 30,
+    )
+)
+def test_every_accepted_bpsk_config_is_exact_on_a_noiseless_channel(trial):
+    fields, num_bits, delay, seed = trial
+    try:
+        config = PskConfig(**fields)
+    except ConfigurationError:
+        return
+    report = run_trial("bpsk", num_bits, ChannelSpec(delay_samples=delay, seed=seed), config)
+    assert report.btsr == 1.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="DPSK near DC or Nyquist: the correlator assumes an orthogonal template "
+    "(ROADMAP item 12)",
+)
+def test_dpsk_near_dc_is_exact_on_a_noiseless_channel():
+    # carrier within half a bit rate of DC; BPSK decodes this config exactly
+    config = PskConfig(carrier_hz=47.76, bit_rate_bps=337.88, sample_rate_hz=8000)
+    for seed in range(6):
+        report = run_trial("dpsk", 40, ChannelSpec(delay_samples=123, seed=seed), config)
+        assert report.btsr == 1.0
 
 
 # every sample rate at 200 bps and at the minimum of 8 samples per bit

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from airmodem import (
     AudioSignal,
     ConfigurationError,
-    EmptyBandWarning,
     IncompatibleSignalError,
     InsufficientDataError,
     NyquistViolationError,
@@ -241,12 +240,11 @@ class TestBandPower:
         )
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_empty_band_warns_and_returns_zero(self):
+    def test_empty_band_rejected(self):
         spectrum = self._uniform_spectrum(1.0)
-        with pytest.warns(EmptyBandWarning):
+        with pytest.raises(ConfigurationError, match="no bin of"):
             # the two-bin guard band around 18010 Hz swallows the whole band
-            result = band_power(spectrum, 18000, 18020, [18010])
-        assert result == 0.0
+            band_power(spectrum, 18000, 18020, [18010])
 
     def test_inverted_band_rejected(self):
         spectrum = self._uniform_spectrum()
