@@ -12,7 +12,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientDataError
-from .signals import AudioSignal, _check_same_rate, _check_sample_rate, _fft_length
+from .signals import (
+    AudioSignal,
+    _check_count,
+    _check_positive,
+    _check_same_rate,
+    _check_sample_rate,
+    _fft_length,
+)
 
 # kind -> (corner_hz, order) of its gain 1 / (1 + (f/corner)^2)^order; white has none
 _NOISE_GAINS = {
@@ -23,6 +30,8 @@ _NOISE_GAINS = {
 }
 NOISE_KINDS = tuple(_NOISE_GAINS)
 SNR_FFT_SIZE = 4096
+# the SNRs whose power ratio 10^(snr/10) is a normal float, rounded inward to 0.1 dB
+_SNR_DB_RANGE = np.trunc(100 * np.log10([np.finfo(float).tiny, np.finfo(float).max])) / 10
 
 
 @dataclass(frozen=True)
@@ -46,14 +55,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ConfigurationError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
-        if not math.isfinite(self.snr_db_at_carrier):
-            raise ConfigurationError(
-                f"snr_db_at_carrier must be finite, got {self.snr_db_at_carrier}"
-            )
-        if not 0 < self.carrier_hz < math.inf:
-            raise ConfigurationError(
-                f"carrier_hz must be positive and finite, got {self.carrier_hz}"
-            )
+        snr, (lo, hi) = self.snr_db_at_carrier, _SNR_DB_RANGE
+        if not lo <= snr <= hi:  # NaN fails too
+            raise ConfigurationError(f"snr_db_at_carrier must be in [{lo}, {hi}] dB, got {snr}")
+        _check_positive("carrier_hz", self.carrier_hz)
         power = self.reference_bin_power
         if power is not None and not 0 <= power < math.inf:
             raise ConfigurationError(f"reference_bin_power must be >= 0 and finite, got {power}")
@@ -69,12 +74,9 @@ class ChannelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.delay_samples, (int, np.integer)) or self.delay_samples < 0:
-            raise ConfigurationError(f"delay_samples must be an int >= 0, got {self.delay_samples}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ConfigurationError(f"seed must be an int >= 0, got {self.seed}")
-        if not 0 < self.gain < math.inf:
-            raise ConfigurationError(f"gain must be > 0 and finite, got {self.gain}")
+        _check_count("delay_samples", self.delay_samples, 0)
+        _check_count("seed", self.seed, 0)
+        _check_positive("gain", self.gain)
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,7 @@ def synth_noise(kind: str, num_samples: int, sample_rate_hz: int, seed: int) -> 
     """
     if kind not in NOISE_KINDS:
         raise ConfigurationError(f"noise kind must be one of {NOISE_KINDS}, got {kind!r}")
-    if not isinstance(num_samples, (int, np.integer)) or num_samples < 1:
-        raise ConfigurationError(f"num_samples must be an integer >= 1, got {num_samples!r}")
+    _check_count("num_samples", num_samples, 1)
     _check_sample_rate(sample_rate_hz)
     rng = np.random.default_rng(seed)
     if kind == "white":

@@ -21,6 +21,7 @@ from .errors import (
     NoClockError,
     SyncNotFoundError,
 )
+from .signals import _check_count
 
 SWEEP_AXES = ("snr_db", "bit_rate_bps")
 SYNC_MODES = ("known_delay", "header")
@@ -129,11 +130,8 @@ def compute_btsr(sent, received) -> float:
 
 def ber_estimate_from_btsr(btsr: float, num_bits: int) -> float:
     """Geometric-distribution BER estimate 1 / (BTSR * n); +inf when BTSR is 0."""
-    if num_bits <= 0:
-        raise ConfigurationError(f"num_bits must be positive, got {num_bits}")
-    if btsr <= 0.0:
-        return math.inf
-    return 1.0 / (btsr * num_bits)
+    _check_count("num_bits", num_bits, 1)
+    return math.inf if btsr <= 0.0 else 1.0 / (btsr * num_bits)
 
 
 def random_bits(num_bits: int, seed) -> np.ndarray:
@@ -141,11 +139,12 @@ def random_bits(num_bits: int, seed) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, 2, size=num_bits, dtype=np.int64)
 
 
-def _trial_bits(entry: _Scheme, sync: str, num_bits: int, channel: ChannelSpec):
+def _trial_bits(entry: _Scheme, sync: str, payload_bits: int, channel: ChannelSpec):
     """``(payload, header, on_air)``: a trial's random payload, its header
     (empty unless it syncs on one) and the bits it sends, header first."""
+    _check_count("payload_bits", payload_bits, 1)
     # payload stream kept distinct from the channel's noise stream
-    payload = random_bits(num_bits, np.random.default_rng([channel.seed, 1]))
+    payload = random_bits(payload_bits, np.random.default_rng([channel.seed, 1]))
     use_header = sync == "header" and entry.header_sync
     header = np.asarray(_psk.DEFAULT_HEADER_BITS if use_header else (), dtype=np.int64)
     return payload, header, np.concatenate([header, payload])
@@ -169,8 +168,6 @@ def run_trial(
     correlation.
     """
     entry = _lookup_scheme(scheme, sync)
-    if payload_bits < 1:
-        raise ConfigurationError(f"payload_bits must be >= 1, got {payload_bits}")
     payload, header, on_air = _trial_bits(entry, sync, payload_bits, channel)
     config = config if config is not None else entry.config_class()
     out = apply_channel(entry.modulate(on_air, config), channel)
@@ -237,8 +234,7 @@ def sweep(
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ConfigurationError("values must be non-empty")
-    if trials < 2:
-        raise ConfigurationError(f"trials must be >= 2, got {trials}")
+    _check_count("trials", trials, 2)
     if base_config is None:
         base_config = entry.config_class()
     if axis == "snr_db" and base_channel.noise is None:

@@ -6,13 +6,12 @@ transition that tells the receiver when to sample the data carrier.  Carrier
 detection compares per-carrier power against an adaptive in-band noise floor.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError, NoClockError
+from .errors import ConfigurationError, NoClockError, NyquistViolationError
 from .signals import (
     AudioSignal,
     Spectrum,
@@ -20,6 +19,7 @@ from .signals import (
     _as_bits,
     _band_mask,
     _check_fft_size,
+    _check_positive,
     _check_same_rate,
     band_power,
     framed_power,
@@ -67,7 +67,7 @@ class FskConfig(_Link):
                 )
         nyquist = self.sample_rate_hz / 2
         if self.band_hi_hz > nyquist or freqs[-1] >= nyquist:
-            raise ConfigurationError(
+            raise NyquistViolationError(
                 f"band_hi_hz may not exceed Nyquist ({nyquist}), nor a carrier reach it"
             )
         band = [self.band_lo_hz, self.band_hi_hz]
@@ -79,10 +79,7 @@ class FskConfig(_Link):
                 f"samples_per_bit={self.samples_per_bit} must be >= 2*fft_size="
                 f"{2 * self.fft_size}; lower the bit rate or shrink the FFT"
             )
-        if not 0 < self.detection_ratio < math.inf:
-            raise ConfigurationError(
-                f"detection_ratio must be positive and finite, got {self.detection_ratio}"
-            )
+        _check_positive("detection_ratio", self.detection_ratio)
 
     @property
     def carrier_freqs_hz(self) -> dict[str, float]:
@@ -138,8 +135,9 @@ def fsk_modulate(bits, config: FskConfig = FskConfig()) -> AudioSignal:
     return AudioSignal(np.take(tones, np.stack([bits, clock]), axis=0).reshape(2, -1), fs)
 
 
-def _detect(spectrum: Spectrum, config: FskConfig) -> list:
-    """The detection rule, applied to each frame (row) of ``spectrum.bin_power``."""
+def _detect(spectrum: Spectrum, config: FskConfig) -> tuple[list, np.ndarray]:
+    """The detection rule, applied to each frame (row) of ``spectrum.bin_power``: a
+    CarrierDetection per frame and the (frames, 4) flags in CARRIER_NAMES order."""
     freqs = config.carrier_freqs_hz
     power = np.atleast_2d(spectrum.bin_power)
     floor = band_power(spectrum, config.band_lo_hz, config.band_hi_hz, freqs.values())
@@ -147,7 +145,7 @@ def _detect(spectrum: Spectrum, config: FskConfig) -> list:
     centers = [spectrum.nearest_bin(freq) for freq in freqs.values()]
     peaks = np.stack([power[:, max(c - 1, 0) : c + 2].max(axis=1) for c in centers], 1)
     active = np.where(floor > 0, peaks >= config.detection_ratio * floor, peaks > 0)
-    return [
+    detections = [
         CarrierDetection(
             row,
             frozenset(name for name, on in zip(freqs, active[row]) if on),
@@ -156,13 +154,14 @@ def _detect(spectrum: Spectrum, config: FskConfig) -> list:
         )
         for row in range(power.shape[0])
     ]
+    return detections, active
 
 
 def detect_carriers_in_spectrum(
     spectrum: Spectrum, config: FskConfig = FskConfig()
 ) -> CarrierDetection:
     """Classify carrier activity in an already-computed power spectrum."""
-    return _detect(spectrum, config)[0]
+    return _detect(spectrum, config)[0][0]
 
 
 def detect_carriers(frame: AudioSignal, config: FskConfig = FskConfig()) -> CarrierDetection:
@@ -185,31 +184,25 @@ def fsk_demodulate(signal: AudioSignal, config: FskConfig = FskConfig()) -> FskD
     _check_same_rate(signal, config)
     freqs = np.fft.rfftfreq(config.fft_size, 1.0 / signal.sample_rate_hz)
     power = framed_power(signal.mixdown().samples, config.fft_size)
-    detections = _detect(Spectrum(freqs, power, config.fft_size, signal.sample_rate_hz), config)
-    bits = []
-    erasures = []
-    last_clock = None
-    armed = False
-    for detection in detections:
-        clocks = detection.active_carriers & {"clock0", "clock1"}
-        if len(clocks) != 1:
+    spectrum = Spectrum(freqs, power, config.fft_size, signal.sample_rate_hz)
+    detections, active = _detect(spectrum, config)
+    bits, erasures = [], []
+    last_clock, armed = None, False  # last_clock is True for clock1, False for clock0
+    for frame, (data0, data1, clock0, clock1) in enumerate(active.tolist()):
+        if clock0 == clock1:
             continue  # ambiguous or absent clock: hold the previous state
-        clock = next(iter(clocks))
-        if clock != last_clock:
+        if clock1 != last_clock:
             # every clock change arms the sampler, also after a bit that no
             # frame could read, so that bit does not take the next one with it
-            last_clock, armed = clock, True
-        if not armed:
-            continue
-        data = detection.active_carriers & {"data0", "data1"}
-        if len(data) == 1:
-            bits.append(1 if "data1" in data else 0)
+            last_clock, armed = clock1, True
+        if armed and data0 != data1:
+            bits.append(int(data1))
             armed = False
-        else:
+        elif armed:
             # unreadable data carrier: flag the erasure but stay armed so the
             # next clean frame of the same bit can still supply it
             # (boundary-straddling frames read half-half)
-            erasures.append(detection.frame_index)
+            erasures.append(frame)
     if last_clock is None:
         raise NoClockError("no unambiguous clock carrier detected in any frame")
     return FskDemodResult(np.asarray(bits, dtype=np.int64), detections, erasures)

@@ -19,7 +19,7 @@ from .errors import (
     NyquistViolationError,
     SyncNotFoundError,
 )
-from .signals import AudioSignal, _Link, _as_bits, _check_same_rate, _fft_length
+from .signals import AudioSignal, _Link, _as_bits, _check_count, _check_same_rate, _fft_length
 
 DEFAULT_HEADER_BITS = (1, 0) * 8  # alternating sync pattern, 16 bits
 
@@ -119,8 +119,7 @@ def _symbol_correlations(
     _check_same_rate(received, config)
     received = received.mixdown()
     spb = config.samples_per_bit
-    if offset < 0:
-        raise ConfigurationError(f"sample offset must be >= 0, got {offset}")
+    _check_count("sample offset", offset, 0)
     if received.num_samples < offset + min_symbols * spb:
         raise InsufficientDataError(
             f"need at least offset+{min_symbols * spb} samples, have {received.num_samples}"
@@ -202,8 +201,7 @@ def correlate_delay(received: AudioSignal, template: AudioSignal, max_delay_samp
     received = received.mixdown()
     if template.channel_count != 1:
         raise ConfigurationError("template must be mono")
-    if max_delay_samples < 0:
-        raise ConfigurationError(f"max_delay_samples must be >= 0, got {max_delay_samples}")
+    _check_count("max_delay_samples", max_delay_samples, 0)
     t = template.samples
     length = t.size
     if received.num_samples < length:

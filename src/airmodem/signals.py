@@ -30,8 +30,22 @@ def _check_same_rate(signal, other) -> None:
         raise IncompatibleSignalError(f"sample-rate mismatch: {rates}")
 
 
+def _check_count(name, value, least) -> None:
+    """Reject ``value`` unless it is an int (a numpy integer too) >= ``least``."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigurationError(f"{name} must be an int >= {least}, got {value!r}")
+
+
+def _check_positive(name, value, most=math.inf) -> None:
+    """Reject ``value`` unless it is a normal float <= ``most`` (NaN, inf, subnormals fail)."""
+    if not np.finfo(float).tiny <= value < math.inf or value > most:
+        bound = "" if most == math.inf else f" <= {most}"
+        raise ConfigurationError(f"{name} must be a positive normal float{bound}, got {value}")
+
+
 def _check_fft_size(fft_size) -> None:
-    if fft_size < 2 or fft_size & (fft_size - 1) != 0:
+    _check_count("fft_size", fft_size, 2)
+    if fft_size & (fft_size - 1) != 0:
         raise ConfigurationError(f"fft_size must be a power of two >= 2, got {fft_size}")
 
 
@@ -43,8 +57,7 @@ class _Link:
         rate = float(self.bit_rate_bps)  # NaN fails too; a subnormal rate has an inf period
         if not rate > 0 or not math.isfinite(int(self.sample_rate_hz) / rate):
             raise ConfigurationError(f"bit_rate_bps must be > 0 with a finite period, got {rate}")
-        if not np.finfo(float).tiny <= self.amplitude <= 1.0:  # a subnormal one rounds to noise
-            raise ConfigurationError(f"amplitude must be normal, in (0, 1], got {self.amplitude}")
+        _check_positive("amplitude", self.amplitude, most=1.0)
 
     @property
     def samples_per_bit(self) -> int:
@@ -163,8 +176,7 @@ def generate_tone(
         )
     if amplitude < 0:
         raise ConfigurationError(f"amplitude must be >= 0, got {amplitude}")
-    if num_samples < 1:
-        raise ConfigurationError(f"num_samples must be >= 1, got {num_samples}")
+    _check_count("num_samples", num_samples, 1)
     k = np.arange(num_samples)
     samples = amplitude * np.cos(2.0 * np.pi * freq_hz * k / sample_rate_hz)
     return AudioSignal(samples, sample_rate_hz)

@@ -20,7 +20,7 @@ from airmodem import (
     power_spectrum,
     synth_noise,
 )
-from airmodem.channel import NOISE_KINDS, SNR_FFT_SIZE, _mean_bin_power
+from airmodem.channel import _SNR_DB_RANGE, NOISE_KINDS, SNR_FFT_SIZE, _mean_bin_power
 from airmodem.evaluate import _SCHEMES, SYNC_MODES, _trial_bits, sweep
 from airmodem.signals import _fft_length, framed_power
 from oracles import concat_apply_channel
@@ -86,6 +86,27 @@ class TestSpecs:
                 ChannelSpec(gain=value, noise=NoiseSpec(**noise))
             else:
                 NoiseSpec(**{**noise, field: value})
+
+    def test_snr_range_is_where_the_power_ratio_is_normal(self):
+        lo, hi = map(float, _SNR_DB_RANGE)
+        assert 10.0 ** (lo / 10.0) >= np.finfo(float).tiny
+        assert math.isfinite(10.0 ** (hi / 10.0))
+        # rounded inward by less than 0.1 dB
+        assert 10.0 ** ((lo - 0.1) / 10.0) < np.finfo(float).tiny
+        with pytest.raises(OverflowError):
+            10.0 ** ((hi + 0.1) / 10.0)
+
+    @pytest.mark.parametrize("snr", [3100.0, -1e5, -math.inf, 1e308])
+    def test_snr_outside_range_rejected(self, snr):
+        # 3100 dB overflowed the power ratio and -1e5 dB made it 0 (a traceback in the CLI)
+        match = r"^snr_db_at_carrier must be in \[-3076.5, 3082.5\] dB"
+        with pytest.raises(ConfigurationError, match=match):
+            NoiseSpec("white", snr, 19200.0)
+
+    @pytest.mark.parametrize("bound", [0, 1], ids=["lo", "hi"])
+    def test_snr_bounds_accepted(self, bound):
+        snr = float(_SNR_DB_RANGE[bound])
+        assert NoiseSpec("white", snr, 19200.0).snr_db_at_carrier == snr
 
 
 class TestApplyChannel:

@@ -23,6 +23,7 @@ from airmodem import (
     synth_noise,
     write_wav,
 )
+from airmodem.channel import _SNR_DB_RANGE, NOISE_KINDS
 from airmodem.cli import main, parse_payload
 from airmodem.errors import ConfigurationError, ModemError, NoClockError, SyncNotFoundError
 
@@ -119,7 +120,7 @@ class TestDecode:
         code, stdout, err = run_cli(capsys, "decode", "dpsk", str(out), "--offset", "-5")
         assert code == 2
         assert stdout == ""
-        assert err.startswith("error: sample offset must be >= 0")
+        assert err.startswith("error: sample offset must be an int >= 0, got -5")
 
     def test_silence_header_sync_exit_3(self, capsys, tmp_path):
         path = tmp_path / "silence.wav"
@@ -314,6 +315,37 @@ class TestSimulate:
         assert err.startswith("error:")
 
 
+    @pytest.mark.parametrize(
+        "scheme,flags,message",
+        [
+            ("dpsk", ["--snr-db", "3100"], "snr_db_at_carrier must be in"),
+            ("dpsk", ["--snr-db=-1e5"], "snr_db_at_carrier must be in"),
+            ("dpsk", ["--gain", "1e-320"], "gain must be a positive normal float"),
+            ("fsk", ["--detection-ratio", "5e-324"], "detection_ratio must be a positive normal"),
+        ],
+        ids=["snr_3100", "snr_minus_1e5", "subnormal_gain", "subnormal_detection_ratio"],
+    )
+    def test_out_of_range_number_exit_2(self, capsys, scheme, flags, message):
+        # the SNRs ended in an OverflowError / ZeroDivisionError traceback (exit 1),
+        # and the subnormal gain and detection ratio exited 0 with a broken BTSR
+        code, stdout, err = run_cli(capsys, "simulate", scheme, "--bits", "8", *flags)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("bound", [0, 1], ids=["lo", "hi"])
+    def test_snr_bounds_run(self, capsys, kind, bound):
+        # the power ratio at either bound is a normal float, so the trial runs
+        snr = float(_SNR_DB_RANGE[bound])
+        code, stdout, err = run_cli(
+            capsys, "simulate", "dpsk", "--bits", "8", f"--snr-db={snr}", "--noise-kind", kind
+        )
+        assert (code, err) == (0, "")
+        assert stdout.splitlines()[1].startswith(f"dpsk,8,{snr:.6f},{kind},")
+
+
 class TestSweep:
     def test_snr_axis_csv_shape(self, capsys):
         code, stdout, _ = run_cli(
@@ -346,6 +378,17 @@ class TestSweep:
         )
         assert code == 0
         assert stdout.splitlines()[-1] == "snr_db,nan,invalid,invalid,2"
+
+    def test_snr_value_outside_range_is_an_invalid_row(self, capsys):
+        code, stdout, _ = run_cli(
+            capsys,
+            "sweep", "dpsk", "--axis", "snr", "--values", "10,3100",
+            "--trials", "2", "--bits", "50", "--seed", "1",
+        )
+        assert code == 0
+        lines = stdout.splitlines()
+        assert lines[1].startswith("snr_db,10.000000,") and "invalid" not in lines[1]
+        assert lines[2] == "snr_db,3100.000000,invalid,invalid,2"
 
     @pytest.mark.parametrize("values", ["nan,10", "nan"])
     def test_rejected_snr_value_first_is_an_invalid_row(self, capsys, values):

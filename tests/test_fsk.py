@@ -15,6 +15,7 @@ from airmodem import (
     IncompatibleSignalError,
     InsufficientDataError,
     NoClockError,
+    NyquistViolationError,
     Spectrum,
     detect_carriers,
     detect_carriers_in_spectrum,
@@ -88,6 +89,16 @@ class TestFskConfig:
     )
     def test_band_and_carriers_below_nyquist(self, overrides):
         with pytest.raises(ConfigurationError, match="Nyquist"):
+            FskConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"sample_rate_hz": 37000}, {"sample_rate_hz": 37500, "band_hi_hz": 18750.0}],
+        ids=["band_above_nyquist", "clock1_on_nyquist"],
+    )
+    def test_nyquist_violation_error(self, overrides):
+        # the error type PskConfig and generate_tone raise for the same fault
+        with pytest.raises(NyquistViolationError):
             FskConfig(**overrides)
 
     def test_band_may_end_on_nyquist(self):

@@ -8,15 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airmodem import (
+    DEFAULT_HEADER_BITS,
     AudioSignal,
+    ChannelSpec,
     ConfigurationError,
+    FskConfig,
     IncompatibleSignalError,
     InsufficientDataError,
+    NoiseSpec,
     NyquistViolationError,
+    PskConfig,
     Spectrum,
     band_power,
+    ber_estimate_from_btsr,
+    bpsk_demodulate_coherent,
+    bpsk_modulate,
+    correlate_delay,
+    dpsk_demodulate,
     generate_tone,
     power_spectrum,
+    run_trial,
+    sweep,
+    synth_noise,
 )
 from airmodem.signals import framed_power
 
@@ -278,3 +291,83 @@ class TestMix:
     def test_tone_amplitude_bound(self, freq, amp):
         sig = generate_tone(freq, 503, 44100, amplitude=amp)
         assert np.max(np.abs(sig.samples)) <= amp + 1e-9
+
+
+_HEADER = bpsk_modulate(DEFAULT_HEADER_BITS)
+_CAPTURE = AudioSignal(np.concatenate([np.zeros(100), _HEADER.samples]), _HEADER.sample_rate_hz)
+_NOISY = ChannelSpec(noise=NoiseSpec("white", 20.0, 19200.0))
+
+# site -> (name in the error, least value, a valid value, call with the count)
+COUNT_SITES = {
+    "ChannelSpec.delay_samples": ("delay_samples", 0, 3, lambda n: ChannelSpec(delay_samples=n)),
+    "ChannelSpec.seed": ("seed", 0, 3, lambda n: ChannelSpec(seed=n)),
+    "synth_noise": ("num_samples", 1, 16, lambda n: synth_noise("white", n, 8000, 0)),
+    "generate_tone": ("num_samples", 1, 16, lambda n: generate_tone(1000.0, n, 8000)),
+    "dpsk_demodulate": (
+        "sample offset", 0, 100, lambda n: dpsk_demodulate(_CAPTURE, PskConfig(), n)
+    ),
+    "bpsk_demodulate_coherent": (
+        "sample offset", 0, 100, lambda n: bpsk_demodulate_coherent(_CAPTURE, PskConfig(), n)
+    ),
+    "correlate_delay": (
+        "max_delay_samples", 0, 200, lambda n: correlate_delay(_CAPTURE, _HEADER, n)
+    ),
+    "run_trial": ("payload_bits", 1, 8, lambda n: run_trial("dpsk", n, ChannelSpec())),
+    "sweep": (
+        "trials", 2, 2, lambda n: sweep("dpsk", "snr_db", [20.0], n, _NOISY, payload_bits=8)
+    ),
+    # a noisy bit-rate point draws its payload before run_trial does
+    "sweep.payload_bits": (
+        "payload_bits",
+        1,
+        8,
+        lambda n: sweep("dpsk", "bit_rate_bps", [100.0], 2, _NOISY, payload_bits=n),
+    ),
+    "ber_estimate_from_btsr": ("num_bits", 1, 4, lambda n: ber_estimate_from_btsr(0.5, n)),
+    "FskConfig.fft_size": ("fft_size", 2, 4096, lambda n: FskConfig(fft_size=n)),
+    "framed_power": ("fft_size", 2, 4, lambda n: framed_power(np.ones(8), n)),
+}
+
+# site -> (name in the error, call with the quantity)
+POSITIVE_SITES = {
+    "PskConfig.amplitude": ("amplitude", lambda v: PskConfig(amplitude=v)),
+    "FskConfig.amplitude": ("amplitude", lambda v: FskConfig(amplitude=v)),
+    "ChannelSpec.gain": ("gain", lambda v: ChannelSpec(gain=v)),
+    "FskConfig.detection_ratio": ("detection_ratio", lambda v: FskConfig(detection_ratio=v)),
+    "NoiseSpec.carrier_hz": ("carrier_hz", lambda v: NoiseSpec("white", 10.0, v)),
+}
+TINY = np.finfo(float).tiny
+
+
+class TestInputRules:
+    """Every count goes through ``signals._check_count`` and every positive
+    quantity through ``signals._check_positive``: one rule for each kind."""
+
+    @pytest.mark.parametrize("case", ["float", "below_least", "numpy_integer"])
+    @pytest.mark.parametrize("site", COUNT_SITES)
+    def test_count_rule(self, site, case):
+        # a whole-valued float used to slip past the bare comparisons and fail
+        # later in slicing or bit operations (or, in generate_tone, be rounded)
+        name, least, valid, call = COUNT_SITES[site]
+        if case == "numpy_integer":
+            call(np.int64(valid))
+            return
+        value = float(valid) if case == "float" else least - 1
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an int >= {least}, got "):
+            call(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [0.0, -1.0, 5e-324, TINY / 2, math.nan, math.inf, TINY],
+        ids=["zero", "negative", "least_subnormal", "subnormal", "nan", "inf", "tiny"],
+    )
+    @pytest.mark.parametrize("site", POSITIVE_SITES)
+    def test_positive_rule(self, site, value):
+        # a subnormal quantity rounds to zero downstream: a 1e-320 gain scored
+        # BTSR 0.25 on a noiseless channel
+        name, call = POSITIVE_SITES[site]
+        if value == TINY:
+            call(value)
+            return
+        with pytest.raises(ConfigurationError, match=f"^{name} must be a positive normal float"):
+            call(value)
